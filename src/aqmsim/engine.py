@@ -25,7 +25,7 @@ class EventKind(IntEnum):
 
 
 class Event(NamedTuple):
-    """Pending event; tuple ordering gives the (fire_time, sequence) order."""
+    """Pending event as `pending_events` reports it."""
 
     fire_time: float
     sequence: int
@@ -41,29 +41,30 @@ class EventLoop:
     """Simulation clock plus a priority queue of pending events.
 
     Ties in fire_time are broken by insertion sequence, so dispatch order is
-    a strict total order regardless of float coincidences.
+    a strict total order regardless of float coincidences. The queue holds
+    plain (fire_time, sequence, kind, payload) tuples; sequence numbers are
+    unique, so tuple order never compares kinds or payloads.
     """
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._pending: list[Event] = []
+        self._pending: list[tuple[float, int, EventKind, Any]] = []
         self._next_sequence = 0
-        self._handlers: dict[EventKind, Callable[[float, Any], None]] = {}
+        # Indexed by kind: EventKind is an IntEnum.
+        self._handlers: list[Callable[[float, Any], None] | None] = [None] * (max(EventKind) + 1)
         self._last_key = (-math.inf, -1)
 
     def on(self, kind: EventKind, handler: Callable[[float, Any], None]) -> None:
         self._handlers[kind] = handler
 
-    def schedule(self, fire_time: float, kind: EventKind, payload: Any = None) -> Event:
+    def schedule(self, fire_time: float, kind: EventKind, payload: Any = None) -> None:
         if fire_time < self.now:
             raise SchedulingError(
                 f"cannot schedule {kind.name} at t={fire_time:.9f}: "
                 f"clock is already at t={self.now:.9f}"
             )
-        event = Event(fire_time, self._next_sequence, kind, payload)
+        heapq.heappush(self._pending, (fire_time, self._next_sequence, kind, payload))
         self._next_sequence += 1
-        heapq.heappush(self._pending, event)
-        return event
 
     def run_until(self, t_end: float) -> None:
         """Dispatch every event with fire_time <= t_end; clock ends at t_end."""
@@ -73,19 +74,26 @@ class EventLoop:
             )
         pending = self._pending
         handlers = self._handlers
-        while pending and pending[0].fire_time <= t_end:
-            event = heapq.heappop(pending)
-            key = (event.fire_time, event.sequence)
-            if key < self._last_key:
-                raise RuntimeError(f"event dispatched out of order: {event}")
-            self._last_key = key
-            self.now = event.fire_time
-            handlers[event.kind](event.fire_time, event.payload)
+        pop = heapq.heappop
+        # Comparing whole entries compares (fire_time, sequence): sequence
+        # numbers are unique, so the comparison never reaches the kind.
+        last = self._last_key
+        try:
+            while pending and pending[0][0] <= t_end:
+                entry = pop(pending)
+                if entry < last:
+                    raise RuntimeError(f"event dispatched out of order: {Event(*entry)}")
+                last = entry
+                fire_time, _, kind, payload = entry
+                self.now = fire_time
+                handlers[kind](fire_time, payload)
+        finally:
+            self._last_key = last[:2]
         self.now = t_end
 
     def pending_events(self) -> list[Event]:
         """Snapshot of undispatched events (end-of-run accounting)."""
-        return sorted(self._pending)
+        return [Event(*entry) for entry in sorted(self._pending)]
 
 
 class Rng:

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import metrics as metrics_mod
-from .engine import EventKind, EventLoop, Rng
+from .engine import EventLoop, Rng
 from .metrics import FlowStats, MetricsCollector, QueueTracePoint
 from .scenario import Scenario, sweep_scenarios
 from .topology import build_dumbbell
@@ -79,8 +79,7 @@ def run_experiment(scenario: Scenario) -> RunReport:
         collector.register_flow(flow_id)
 
     n_samples = int(scenario.duration_s / scenario.sample_period_s) + 1
-    for k in range(n_samples):
-        loop.schedule(k * scenario.sample_period_s, EventKind.TIMER_EXPIRY, ("qsample",))
+    dumbbell.start_queue_sampler(scenario.sample_period_s, n_samples)
 
     loop.run_until(scenario.duration_s)
 

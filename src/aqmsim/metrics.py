@@ -85,6 +85,22 @@ def queuing_delay(samples: list[DelaySample]) -> float:
     return sum(s.service_start - s.enqueue_time for s in samples) / len(samples)
 
 
+def draw_bound_table(discipline: Discipline | None, params: QdiscParams | None) -> list[int]:
+    """Most draws a discipline may make on an arrival, per occupancy
+    q_c = 0..capacity, from the draw rule of each discipline. Empty until
+    the qdisc parameters are known."""
+    if params is None:
+        return []
+    n = params.capacity + 1
+    if discipline is Discipline.CHOKE:
+        return [1] * n
+    if discipline is Discipline.GCHOKE:
+        return [params.maxcomp] * n
+    if discipline is Discipline.CHOKED:
+        return [sum(drawing_split(drawing_factor(q_c, params))) for q_c in range(n)]
+    return [0] * n
+
+
 class MetricsCollector:
     """In-process observer fed synchronously by the event loop.
 
@@ -111,9 +127,32 @@ class MetricsCollector:
         self.bins: dict[int, Counter[int]] = {}
         self.delay_samples: list[DelaySample] = []
         self.queue_trace: list[QueueTracePoint] = []
-        self.outcome_counts: Counter[Outcome] = Counter()
+        self.admitted = 0
+        self.arrivals_dropped = 0
+        self.match_drops = 0
         self.draws_histogram: Counter[int] = Counter()
         self.draw_bound_violations = 0
+
+    @property
+    def params(self) -> QdiscParams | None:
+        return self._params
+
+    @params.setter
+    def params(self, params: QdiscParams | None) -> None:
+        # The draw bound is tabulated once per run, not recomputed per arrival.
+        self._params = params
+        self.draw_bounds = draw_bound_table(self.discipline, params)
+
+    @property
+    def outcome_counts(self) -> Counter[Outcome]:
+        """Decisions per outcome; outcomes that never occurred are absent."""
+        return +Counter(
+            {
+                Outcome.ADMIT: self.admitted,
+                Outcome.DROP_ARRIVING: self.arrivals_dropped,
+                Outcome.MATCH_DROP: self.match_drops,
+            }
+        )
 
     def register_flow(self, flow_id: int) -> FlowStats:
         stats = self.flow_stats.get(flow_id)
@@ -122,16 +161,6 @@ class MetricsCollector:
             self.flow_stats[flow_id] = stats
             self.bins[flow_id] = Counter()
         return stats
-
-    def _draw_bound(self, q_c: int) -> int:
-        if self.discipline is Discipline.CHOKE:
-            return 1
-        if self.discipline is Discipline.GCHOKE:
-            return self.params.maxcomp
-        if self.discipline is Discipline.CHOKED:
-            d_r, d_f = drawing_split(drawing_factor(q_c, self.params))
-            return d_r + d_f
-        return 0
 
     def on_emit(self, pk: Packet) -> None:
         self.emitted[pk.flow_id] += 1
@@ -144,11 +173,20 @@ class MetricsCollector:
         q_c: int,
         q_a: float,
     ) -> None:
-        self.outcome_counts[decision.outcome] += 1
-        self.draws_histogram[decision.draws_performed] += 1
-        if decision.outcome is not Outcome.ADMIT:
+        # Outcomes are told apart by identity: hashing an Enum member runs
+        # Python code, and this runs once per arrival.
+        outcome = decision.outcome
+        draws = decision.draws_performed
+        self.draws_histogram[draws] += 1
+        if outcome is Outcome.ADMIT:
+            self.admitted += 1
+        else:
             self.dropped[pk.flow_id] += 1 + len(decision.dropped_positions)
-        if decision.draws_performed > self._draw_bound(q_c):
+            if outcome is Outcome.MATCH_DROP:
+                self.match_drops += 1
+            else:
+                self.arrivals_dropped += 1
+        if draws > self.draw_bounds[q_c]:
             self.draw_bound_violations += 1
 
     def on_service_start(self, pk: Packet, now: float) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 from .engine import Rng
 
@@ -71,12 +72,22 @@ class QdiscParams:
 
 @dataclass(slots=True)
 class QdiscState:
-    """FIFO buffer (head = oldest at index 0) plus the EWMA average."""
+    """FIFO buffer (head = oldest at index 0) plus the EWMA average.
+
+    `decide` is the discipline's admission function, resolved once here so
+    that no arrival looks the discipline up again.
+    """
 
     params: QdiscParams
     discipline: Discipline
     buffer: list[Packet] = field(default_factory=list)
     q_a: float = 0.0
+    decide: Callable[[QdiscState, Packet, Rng], EnqueueDecision] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.decide = _ENQUEUE[self.discipline]
 
 
 @dataclass(slots=True)
@@ -268,7 +279,7 @@ def enqueue(state: QdiscState, pk: Packet, rng: Rng, now: float) -> EnqueueDecis
     """
     state.q_a = update_avg_queue(state.q_a, len(state.buffer), state.params.w_q)
     pk.enqueue_time = now
-    decision = _ENQUEUE[state.discipline](state, pk, rng)
+    decision = state.decide(state, pk, rng)
     assert len(state.buffer) <= state.params.capacity
     return decision
 

@@ -27,7 +27,8 @@ number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 from .qdisc import Discipline
 from .transport import AppKind, TcpVariant
@@ -75,6 +76,17 @@ class Scenario:
 
     def validate(self) -> None:
         problems = []
+        # An infinite duration never terminates and NaN passes every
+        # comparison below, so no float field may be non-finite.
+        values = [(_TEXT_KEY.get(f.name, f.name), getattr(self, f.name)) for f in fields(self)]
+        values += [
+            (f"[flow.{flow_id}] {_TEXT_KEY.get(name, name)}", value)
+            for flow_id, fields_ in self.flow_overrides.items()
+            for name, value in fields_.items()
+        ]
+        for key, value in values:
+            if isinstance(value, float) and not math.isfinite(value):
+                problems.append(f"{key}={value}: must be finite")
         if self.n_tcp < 0 or self.n_udp < 0 or self.n_flows < 1:
             problems.append(f"n_tcp={self.n_tcp}, n_udp={self.n_udp}: need at least one flow")
         if not 0 < self.t_min < self.t_max <= self.buffer_pkts:
@@ -158,6 +170,9 @@ _KEYMAP = {
     ("links", "access_delay_ms"): ("access_delay_s", "ms"),
     ("links", "packet_size_bits"): ("packet_size_bits", int),
 }
+
+# Scenario attribute -> its key in the text format, for error messages.
+_TEXT_KEY = {attr: key for (_, key), (attr, _) in _KEYMAP.items()}
 
 _FLOW_KEYMAP = {
     "variant": ("variant", "enum"),

@@ -115,23 +115,30 @@ class Dumbbell:
     reverse_delay: dict[int, float] = field(default_factory=dict)
     flow_kinds: dict[int, str] = field(default_factory=dict)
     observer: object = None
+    sample_period_s: float = 0.0
+    n_samples: int = 0
 
     def _register_handlers(self) -> None:
         self.loop.on(EventKind.SOURCE_EMIT, self._on_source_emit)
-        self.loop.on(EventKind.PACKET_ARRIVAL_AT_QUEUE, self._on_arrival)
-        self.loop.on(EventKind.TRANSMISSION_COMPLETE, self._on_tx_complete)
+        self.loop.on(EventKind.PACKET_ARRIVAL_AT_QUEUE, self.router.on_packet_arrival)
+        self.loop.on(EventKind.TRANSMISSION_COMPLETE, self.router.on_transmission_complete)
         self.loop.on(EventKind.PROPAGATION_DELIVERY, self._on_delivery)
         self.loop.on(EventKind.ACK_DELIVERY, self._on_ack_delivery)
         self.loop.on(EventKind.TIMER_EXPIRY, self._on_timer)
 
+    def start_queue_sampler(self, period_s: float, n_samples: int) -> None:
+        """Sample the queue at k * period_s for k = 0..n_samples-1.
+
+        One sample event is pending at a time: each schedules the next, at
+        an exact product of k and the period rather than a running sum.
+        """
+        self.sample_period_s = period_s
+        self.n_samples = n_samples
+        if n_samples > 0:
+            self.loop.schedule(0.0, EventKind.TIMER_EXPIRY, ("qsample", 0))
+
     def _on_source_emit(self, now: float, flow_id: int) -> None:
         self.sources[flow_id].on_source_emit(now)
-
-    def _on_arrival(self, now: float, pk: Packet) -> None:
-        self.router.on_packet_arrival(now, pk)
-
-    def _on_tx_complete(self, now: float, pk: Packet) -> None:
-        self.router.on_transmission_complete(now, pk)
 
     def _on_delivery(self, now: float, pk: Packet) -> None:
         self.observer.on_delivery(pk, now)
@@ -155,6 +162,9 @@ class Dumbbell:
             self.sources[flow_id].on_timer(token, now)
         elif tag == "qsample":
             self.observer.sample_queue(now, len(self.router.state.buffer), self.router.state.q_a)
+            k = payload[1] + 1
+            if k < self.n_samples:
+                self.loop.schedule(k * self.sample_period_s, EventKind.TIMER_EXPIRY, ("qsample", k))
 
     def residual_packets(self) -> dict[int, int]:
         """Per-flow count of data packets still inside the network:

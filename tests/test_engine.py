@@ -93,6 +93,20 @@ def test_event_ordering_is_total():
     assert a < b and not b < a
 
 
+def test_pending_events_are_event_records_in_dispatch_order():
+    loop, _ = make_recording_loop()
+    loop.schedule(2.0, K, "c")
+    loop.schedule(1.0, EventKind.SOURCE_EMIT, "a")
+    loop.schedule(2.0, K, "d")
+    loop.schedule(1.0, K, "b")
+    pending = loop.pending_events()
+    assert all(isinstance(event, Event) for event in pending)
+    assert [(e.fire_time, e.sequence, e.payload) for e in pending] == [
+        (1.0, 1, "a"), (1.0, 3, "b"), (2.0, 0, "c"), (2.0, 2, "d"),
+    ]
+    assert pending[0].kind is EventKind.SOURCE_EMIT
+
+
 def test_determinism_same_seed_same_dispatch_log():
     def run(seed):
         loop = EventLoop()

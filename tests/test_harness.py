@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from aqmsim.cli import main as cli_main
+from aqmsim.engine import EventLoop
 from aqmsim.harness import emit_outputs, emit_sweep_csv, run_experiment, run_sweep
 from aqmsim.scenario import SWEEP_PRESETS, load_preset
 
@@ -45,6 +46,20 @@ class TestRunExperiment:
 
     def test_queue_trace_length(self, model1_report):
         assert len(model1_report.queue_trace) == int(15.0 / 0.1) + 1
+
+    def test_pending_events_do_not_grow_with_sample_count(self, monkeypatch):
+        pending_at_start = []
+        run_until = EventLoop.run_until
+
+        def record_then_run(loop, t_end):
+            pending_at_start.append(len(loop.pending_events()))
+            run_until(loop, t_end)
+
+        monkeypatch.setattr(EventLoop, "run_until", record_then_run)
+        reports = [run_experiment(short_model1(sample_period_s=p)) for p in (0.1, 0.001)]
+        assert [len(r.queue_trace) for r in reports] == [151, 15001]
+        # One pending emission per flow plus the single queue sampler.
+        assert pending_at_start == [34 + 1, 34 + 1]
 
     def test_outcome_counts_cover_all_arrivals(self, model1_report):
         assert set(model1_report.outcome_counts) <= {"admit", "drop_arriving", "match_drop"}

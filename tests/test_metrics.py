@@ -5,13 +5,22 @@ from aqmsim.harness import run_experiment
 from aqmsim.metrics import (
     DelaySample,
     FlowStats,
+    MetricsCollector,
     goodput_tcp,
     goodput_udp,
     jain_index,
     queuing_delay,
     throughput,
 )
-from aqmsim.qdisc import Discipline
+from aqmsim.qdisc import (
+    Discipline,
+    EnqueueDecision,
+    Outcome,
+    Packet,
+    QdiscParams,
+    drawing_factor,
+    drawing_split,
+)
 from aqmsim.scenario import Scenario
 
 
@@ -139,3 +148,54 @@ class TestQueueTrace:
         assert times == sorted(times)
         assert all(0 <= p.q_c <= scenario.buffer_pkts for p in report.queue_trace)
         assert all(p.q_a >= 0 for p in report.queue_trace)
+
+
+@st.composite
+def qdisc_params(draw):
+    capacity = draw(st.integers(2, 600))
+    t_max = draw(st.integers(2, capacity))
+    t_min = draw(st.integers(1, t_max - 1))
+    return QdiscParams(capacity=capacity, t_min=t_min, t_max=t_max, maxcomp=draw(st.integers(1, 8)))
+
+
+class TestDrawBound:
+    @given(qdisc_params())
+    def test_choked_table_is_rear_plus_front_draws(self, params):
+        collector = MetricsCollector(0.0, 1.0, Discipline.CHOKED, params)
+        assert len(collector.draw_bounds) == params.capacity + 1
+        for q_c, bound in enumerate(collector.draw_bounds):
+            d_r, d_f = drawing_split(drawing_factor(q_c, params))
+            assert bound == d_r + d_f
+
+    @given(qdisc_params())
+    def test_other_disciplines_have_flat_tables(self, params):
+        flat = {
+            Discipline.DROPTAIL: 0,
+            Discipline.RED: 0,
+            Discipline.CHOKE: 1,
+            Discipline.GCHOKE: params.maxcomp,
+        }
+        for discipline, bound in flat.items():
+            table = MetricsCollector(0.0, 1.0, discipline, params).draw_bounds
+            assert table == [bound] * (params.capacity + 1)
+
+    def test_table_follows_params_set_after_construction(self):
+        collector = MetricsCollector(0.0, 1.0, Discipline.GCHOKE)
+        assert collector.draw_bounds == []
+        collector.params = QdiscParams(capacity=50, t_min=10, t_max=30, maxcomp=5)
+        assert collector.draw_bounds == [5] * 51
+
+    def test_draws_beyond_bound_counted_as_violation(self):
+        params = QdiscParams()
+        collector = MetricsCollector(0.0, 1.0, Discipline.CHOKED, params)
+        q_c = 60
+        bound = sum(drawing_split(drawing_factor(q_c, params)))
+        at_bound = EnqueueDecision(Outcome.ADMIT, draws_performed=bound)
+        collector.on_arrival(0.5, Packet(1, 0), at_bound, q_c, 50.0)
+        assert collector.draw_bound_violations == 0
+        beyond = EnqueueDecision(Outcome.MATCH_DROP, (3,), bound + 1)
+        collector.on_arrival(0.6, Packet(1, 1), beyond, q_c, 50.0)
+        assert collector.draw_bound_violations == 1
+        assert collector.outcome_counts == {Outcome.ADMIT: 1, Outcome.MATCH_DROP: 1}
+        assert collector.dropped[1] == 2
+        assert collector.draws_histogram == {bound: 1, bound + 1: 1}

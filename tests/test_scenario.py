@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields, replace
+
 import pytest
 
 from aqmsim.qdisc import Discipline
@@ -119,6 +122,30 @@ class TestValidation:
     def test_at_least_one_flow(self):
         with pytest.raises(ScenarioError):
             Scenario(n_tcp=0, n_udp=0).validate()
+
+    @pytest.mark.parametrize(
+        "field_name",
+        [f.name for f in fields(Scenario) if isinstance(getattr(Scenario(), f.name), float)],
+    )
+    def test_non_finite_float_rejected(self, field_name):
+        valid = parse_scenario_text(MINIMAL)
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ScenarioError, match="must be finite"):
+                replace(valid, **{field_name: value}).validate()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "[scenario]\nduration_s = inf\n",
+            "[scenario]\nwarmup_s = nan\n",
+            "[links]\nbottleneck_mbps = nan\n",
+            "[traffic]\nudp_rate_mbps = inf\n",
+            "[flow.2]\nstart_s = inf\n",
+        ],
+    )
+    def test_non_finite_value_rejected_at_parse(self, doc):
+        with pytest.raises(ScenarioError, match="must be finite"):
+            parse_scenario_text(MINIMAL + doc)
 
     def test_fair_share(self):
         scenario = Scenario(n_tcp=33, n_udp=1)

@@ -2,34 +2,4 @@
 experiments: DropTail, RED, CHOKe, gCHOKe and CHOKeD on a dumbbell
 bottleneck shared by TCP and unresponsive CBR/UDP traffic."""
 
-from .engine import Event, EventKind, EventLoop, Rng, SchedulingError
-from .harness import RunReport, emit_outputs, emit_sweep_csv, run_experiment, run_sweep
-from .metrics import (
-    DelaySample,
-    FlowStats,
-    MetricsCollector,
-    QueueTracePoint,
-    goodput_tcp,
-    goodput_udp,
-    jain_index,
-    queuing_delay,
-    throughput,
-)
-from .qdisc import (
-    Discipline,
-    EnqueueDecision,
-    Outcome,
-    Packet,
-    QdiscParams,
-    QdiscState,
-    drawing_factor,
-    drawing_split,
-    partition_regions,
-    red_drop_probability,
-    update_avg_queue,
-)
-from .scenario import PRESETS, SWEEP_PRESETS, Scenario, ScenarioError, load_preset, parse_scenario
-from .topology import Dumbbell, Link, build_dumbbell, link_transmit
-from .transport import AppKind, CbrSource, TcpSink, TcpSource, TcpVariant, UdpSink
-
 __version__ = "0.1.0"

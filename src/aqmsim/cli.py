@@ -17,12 +17,12 @@ import sys
 from dataclasses import replace
 
 from .harness import emit_outputs, emit_sweep_csv, run_experiment, run_sweep
-from .scenario import PRESETS, SWEEP_PRESETS, ScenarioError, load_preset, parse_scenario
+from .scenario import PRESETS, SWEEP_PRESETS, ScenarioError, load_preset, parse_scenario_file
 
 
 def _load(scenario_arg: str):
     if os.path.exists(scenario_arg):
-        return parse_scenario(scenario_arg)
+        return parse_scenario_file(scenario_arg)
     if scenario_arg in PRESETS:
         return load_preset(scenario_arg)
     raise ScenarioError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import metrics as metrics_mod
 from .engine import EventLoop, Rng
-from .metrics import FlowStats, MetricsCollector, QueueTracePoint
+from .metrics import MetricsCollector, QueueTracePoint
 from .scenario import Scenario, sweep_scenarios
 from .topology import build_dumbbell
 
@@ -50,7 +50,6 @@ class RunReport:
     draw_bound_violations: int
     conservation: dict[int, dict[str, int]]
     bins: dict[int, dict[int, int]]
-    flow_stats: dict[int, FlowStats]
 
     def throughputs_bps(self) -> list[float]:
         return [flow.throughput_bps for flow in self.flows]
@@ -91,11 +90,11 @@ def run_experiment(scenario: Scenario) -> RunReport:
         stats = collector.flow_stats[flow_id]
         rate = metrics_mod.throughput(stats, window)
         if kind == "tcp":
-            good = metrics_mod.goodput_tcp(stats)
+            good = metrics_mod.goodput_tcp(stats, window)
             tcp_throughput += rate
             tcp_goodput += good
         else:
-            good = metrics_mod.goodput_udp(stats)
+            good = rate  # UDP never retransmits
             udp_throughput += rate
         flows.append(FlowReport(flow_id, kind, rate, good))
 
@@ -133,7 +132,6 @@ def run_experiment(scenario: Scenario) -> RunReport:
         draw_bound_violations=collector.draw_bound_violations,
         conservation=conservation,
         bins={fid: dict(sorted(bins.items())) for fid, bins in collector.bins.items()},
-        flow_stats=collector.flow_stats,
     )
 
 

@@ -30,8 +30,6 @@ class FlowStats:
     flow_id: int
     bits_delivered: int = 0
     bits_retransmitted_delivered: int = 0
-    start: float = 0.0
-    end: float = 0.0
 
 
 class DelaySample(NamedTuple):
@@ -45,26 +43,21 @@ class QueueTracePoint(NamedTuple):
     q_a: float
 
 
-def throughput(stats: FlowStats, window: tuple[float, float]) -> float:
-    """Delivered bits per second over the window the stats were taken in."""
+def _window_s(window: tuple[float, float]) -> float:
     t0, t1 = window
     if t1 <= t0:
         raise ValueError(f"empty measurement window ({t0}, {t1})")
-    return stats.bits_delivered / (t1 - t0)
+    return t1 - t0
 
 
-def goodput_tcp(stats: FlowStats) -> float:
+def throughput(stats: FlowStats, window: tuple[float, float]) -> float:
+    """Delivered bits per second over the window the stats were taken in."""
+    return stats.bits_delivered / _window_s(window)
+
+
+def goodput_tcp(stats: FlowStats, window: tuple[float, float]) -> float:
     """Delivered bits net of delivered retransmissions, per second."""
-    duration = stats.end - stats.start
-    if duration <= 0:
-        raise ValueError(f"flow {stats.flow_id}: non-positive duration {duration}")
-    return (stats.bits_delivered - stats.bits_retransmitted_delivered) / duration
-
-def goodput_udp(stats: FlowStats) -> float:
-    duration = stats.end - stats.start
-    if duration <= 0:
-        raise ValueError(f"flow {stats.flow_id}: non-positive duration {duration}")
-    return stats.bits_delivered / duration
+    return (stats.bits_delivered - stats.bits_retransmitted_delivered) / _window_s(window)
 
 
 def jain_index(shares: list[float]) -> float:
@@ -157,7 +150,7 @@ class MetricsCollector:
     def register_flow(self, flow_id: int) -> FlowStats:
         stats = self.flow_stats.get(flow_id)
         if stats is None:
-            stats = FlowStats(flow_id, start=self.warmup, end=self.duration)
+            stats = FlowStats(flow_id)
             self.flow_stats[flow_id] = stats
             self.bins[flow_id] = Counter()
         return stats

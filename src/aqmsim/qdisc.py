@@ -49,25 +49,14 @@ class Packet:
 
 @dataclass(slots=True)
 class QdiscParams:
+    """Discipline parameters; `Scenario.validate` judges their values."""
+
     capacity: int = 100          # B, packets
     t_min: int = 40              # packets
     t_max: int = 80              # packets
     w_q: float = 0.02
     max_p: float = 0.1
     maxcomp: int = 3             # gCHOKe only
-
-    def __post_init__(self) -> None:
-        if not 0 < self.t_min < self.t_max <= self.capacity:
-            raise ValueError(
-                f"need 0 < t_min < t_max <= capacity, got "
-                f"t_min={self.t_min}, t_max={self.t_max}, capacity={self.capacity}"
-            )
-        if not 0 < self.w_q <= 1:
-            raise ValueError(f"w_q must be in (0, 1], got {self.w_q}")
-        if not 0 < self.max_p <= 1:
-            raise ValueError(f"max_p must be in (0, 1], got {self.max_p}")
-        if self.maxcomp < 1:
-            raise ValueError(f"maxcomp must be >= 1, got {self.maxcomp}")
 
 
 @dataclass(slots=True)

@@ -21,14 +21,16 @@ Sections and keys:
 
 Flow ids number UDP flows first (1..n_udp), then TCP flows. Only
 [qdisc] discipline, [traffic] n_tcp and n_udp are required; every other
-key has a default. Unknown sections or keys are rejected with their line
-number.
+key has a default. Unknown sections or keys, and a key set twice, are
+rejected with their line number. `Scenario.validate` is the one place
+field values are judged.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .qdisc import Discipline
 from .transport import AppKind, TcpVariant
@@ -36,6 +38,13 @@ from .transport import AppKind, TcpVariant
 
 class ScenarioError(Exception):
     """Invalid scenario document or field values."""
+
+
+# Upper bounds on the inputs that size memory or work, far above every
+# preset (B = 500, 100 flows, 2,001 queue samples).
+MAX_BUFFER_PKTS = 100_000
+MAX_FLOWS = 10_000
+MAX_QUEUE_SAMPLES = 100_000
 
 
 @dataclass
@@ -87,8 +96,10 @@ class Scenario:
         for key, value in values:
             if isinstance(value, float) and not math.isfinite(value):
                 problems.append(f"{key}={value}: must be finite")
-        if self.n_tcp < 0 or self.n_udp < 0 or self.n_flows < 1:
-            problems.append(f"n_tcp={self.n_tcp}, n_udp={self.n_udp}: need at least one flow")
+        if self.n_tcp < 0 or self.n_udp < 0 or not 1 <= self.n_flows <= MAX_FLOWS:
+            problems.append(f"n_tcp={self.n_tcp}, n_udp={self.n_udp}: need 1 to {MAX_FLOWS} flows")
+        if self.buffer_pkts > MAX_BUFFER_PKTS:
+            problems.append(f"buffer_pkts={self.buffer_pkts}: must be <= {MAX_BUFFER_PKTS}")
         if not 0 < self.t_min < self.t_max <= self.buffer_pkts:
             problems.append(
                 f"t_min_pkts={self.t_min}, t_max_pkts={self.t_max}, "
@@ -112,9 +123,14 @@ class Scenario:
             ("bottleneck_delay_ms", self.bottleneck_delay_s),
             ("packet_size_bits", self.packet_size_bits),
             ("sample_period_s", self.sample_period_s),
+            ("http_think_mean_s", self.http_think_mean_s),
         ):
             if value <= 0:
                 problems.append(f"{key}: must be positive")
+        if self.sample_period_s > 0 and self.duration_s / self.sample_period_s > MAX_QUEUE_SAMPLES:
+            problems.append(f"duration_s / sample_period_s: must be <= {MAX_QUEUE_SAMPLES} queue samples")
+        if self.http_page_mean_pkts < 1:
+            problems.append(f"http_page_mean_pkts={self.http_page_mean_pkts}: must be >= 1")
         # Access delay may be zero: short-RTT flows set their one-way
         # propagation entirely on the bottleneck link.
         if self.access_delay_s < 0:
@@ -125,12 +141,18 @@ class Scenario:
             if not 1 <= flow_id <= self.n_flows:
                 problems.append(f"[flow.{flow_id}]: no such flow (1..{self.n_flows})")
             for name, value in fields_.items():
-                if name not in ("variant", "app", "access_bps", "access_delay_s", "start_s"):
+                if name not in _FLOW_ATTRS:
                     problems.append(f"[flow.{flow_id}] {name}: unknown override")
                 elif name == "access_bps" and value <= 0:
                     problems.append(f"[flow.{flow_id}] access_mbps: must be positive")
                 elif name in ("access_delay_s", "start_s") and value < 0:
                     problems.append(f"[flow.{flow_id}] {name}: must be >= 0")
+                elif name == "start_s" and value >= self.duration_s:
+                    problems.append(f"[flow.{flow_id}] start_s={value}: must be < duration_s={self.duration_s}")
+        # A CBR source faster than its access link queues there without bound.
+        udp_ids = range(1, min(self.n_udp, MAX_FLOWS) + 1)
+        if any(self.udp_rate_bps > self.flow_overrides.get(i, {}).get("access_bps", self.access_bps) for i in udp_ids):
+            problems.append("udp_rate_mbps: must not exceed any UDP flow's access_mbps")
         if problems:
             raise ScenarioError("; ".join(problems))
 
@@ -182,6 +204,8 @@ _FLOW_KEYMAP = {
     "start_s": ("start_s", float),
 }
 
+_FLOW_ATTRS = {attr for attr, _ in _FLOW_KEYMAP.values()}
+
 _REQUIRED = {("qdisc", "discipline"), ("traffic", "n_tcp"), ("traffic", "n_udp")}
 
 
@@ -203,7 +227,7 @@ def _convert(raw: str, converter, key: str, lineno: int):
 
 def parse_scenario_text(text: str) -> Scenario:
     scenario = Scenario()
-    seen: set[tuple[str, str]] = set()
+    seen: dict[tuple[str, str], int] = {}  # (section, key) -> line number
     section = None
     flow_id = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -229,6 +253,12 @@ def parse_scenario_text(text: str) -> Scenario:
         if section is None:
             raise ScenarioError(f"line {lineno}: key outside any [section]")
         key, raw = (part.strip() for part in line.split("=", 1))
+        where = f"flow.{flow_id}" if section == "flow" else section
+        if (where, key) in seen:
+            raise ScenarioError(
+                f"line {lineno}: key {key!r} in [{where}] already set on line {seen[(where, key)]}"
+            )
+        seen[(where, key)] = lineno
         if section == "flow":
             if key not in _FLOW_KEYMAP:
                 raise ScenarioError(f"line {lineno}: unknown key {key!r} in [flow.{flow_id}]")
@@ -239,8 +269,7 @@ def parse_scenario_text(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
         attr, converter = _KEYMAP[(section, key)]
         setattr(scenario, attr, _convert(raw, converter, key, lineno))
-        seen.add((section, key))
-    missing = _REQUIRED - seen
+    missing = _REQUIRED - seen.keys()
     if missing:
         names = ", ".join(f"[{s}] {k}" for s, k in sorted(missing))
         raise ScenarioError(f"missing required key(s): {names}")
@@ -248,50 +277,14 @@ def parse_scenario_text(text: str) -> Scenario:
     return scenario
 
 
-def parse_scenario(path_or_text: str) -> Scenario:
-    """Parse a scenario from a file path or from document text."""
-    if "\n" not in path_or_text and "=" not in path_or_text:
-        with open(path_or_text, encoding="utf-8") as fh:
-            return parse_scenario_text(fh.read())
-    return parse_scenario_text(path_or_text)
+def parse_scenario_file(path: str) -> Scenario:
+    with open(path, encoding="utf-8") as fh:
+        return parse_scenario_text(fh.read())
 
 
-def _model1_text(discipline: str) -> str:
-    return f"""\
-[scenario]
-name = model1-{discipline}
-duration_s = 100
-warmup_s = 10
-seed = 1
+# Model 1: 33 FTP/TCP flows and one 2 Mb/s CBR flow under each discipline.
+PRESETS = {f"model1-{d.value}": d for d in Discipline}
 
-[qdisc]
-discipline = {discipline}
-buffer_pkts = 100
-t_min_pkts = 40
-t_max_pkts = 80
-w_q = 0.02
-
-[traffic]
-n_tcp = 33
-n_udp = 1
-udp_rate_mbps = 2.0
-
-[links]
-bottleneck_mbps = 1.0
-bottleneck_delay_ms = 10
-access_mbps = 10.0
-access_delay_ms = 1.0
-"""
-
-
-PRESETS: dict[str, str] = {
-    f"model1-{d}": _model1_text(d)
-    for d in ("droptail", "red", "choke", "gchoke", "choked")
-}
-
-SWEEP_PRESETS = ("model2-sweep", "buffer-sweep", "rtt-mix", "reno-vs-vegas", "web-mix")
-
-# Disciplines compared in every sweep, in reporting order.
 SWEEP_DISCIPLINES = (Discipline.RED, Discipline.CHOKE, Discipline.GCHOKE, Discipline.CHOKED)
 
 # Flow counts for the many-unresponsive-flows model: 12% UDP traffic.
@@ -299,15 +292,45 @@ MODEL2_POINTS = ((25, 22, 3), (50, 44, 6), (73, 64, 9), (100, 88, 12))
 
 BUFFER_SWEEP_SIZES = (100, 300, 500)
 
+# sweep preset -> (default duration_s, [(point label, scenario name stem,
+# Scenario field values)]). Every point runs under each of
+# SWEEP_DISCIPLINES, in that reporting order.
+SWEEPS = {
+    "model2-sweep": (100.0, [
+        (f"{total}-flows", f"model2-{total}", {"n_tcp": n_tcp, "n_udp": n_udp}) for total, n_tcp, n_udp in MODEL2_POINTS
+    ]),
+    "buffer-sweep": (100.0, [
+        (f"B{b}", f"buffer{b}", {"n_tcp": 33, "n_udp": 1, "buffer_pkts": b}) for b in BUFFER_SWEEP_SIZES
+    ]),
+    # 22 TCPs: half with 50 ms RTT, half with 20 ms. One-way propagation is
+    # RTT/2; the bottleneck contributes 10 ms, so the access links carry
+    # 15 ms and 0 ms respectively. Flows 1..3 are UDP.
+    "rtt-mix": (200.0, [("rtt-mix", "rttmix", {"n_tcp": 22, "n_udp": 3, "flow_overrides": {
+        4 + i: {"access_delay_s": 0.015 if i < 11 else 0.0} for i in range(22)
+    }})]),
+    # The inter-protocol run drives its single CBR source at 0.6 Mb/s:
+    # under RED an unresponsive flow keeps nearly its offered rate, and the
+    # reported RED-row UDP throughput sits at ~0.57 Mb/s.
+    "reno-vs-vegas": (100.0, [("reno-vs-vegas", "renovegas", {
+        "n_tcp": 2, "n_udp": 1, "udp_rate_bps": 0.6e6, "flow_overrides": {3: {"variant": TcpVariant.VEGAS}}
+    })]),
+    # Flow 1 is the UDP source, flows 2..16 stay FTP, 17..31 run HTTP.
+    "web-mix": (100.0, [("web-mix", "webmix", {"n_tcp": 30, "n_udp": 1, "flow_overrides": {
+        17 + i: {"app": AppKind.HTTP} for i in range(15)
+    }})]),
+}
+
+SWEEP_PRESETS = tuple(SWEEPS)
+
 
 def load_preset(name: str) -> Scenario:
     if name not in PRESETS:
         raise ScenarioError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    return parse_scenario_text(PRESETS[name])
+    return Scenario(name=name, discipline=PRESETS[name], n_tcp=33, n_udp=1)
 
 
-def _base(name: str, discipline: Discipline, **kwargs) -> Scenario:
-    scenario = replace(Scenario(), name=name, discipline=discipline, **kwargs)
+def _sweep_point(name: str, discipline: Discipline, **kwargs) -> Scenario:
+    scenario = Scenario(name=name, discipline=discipline, **kwargs)
     if scenario.warmup_s >= scenario.duration_s:
         scenario.warmup_s = scenario.duration_s / 5.0  # shortened smoke runs
     scenario.validate()
@@ -316,100 +339,14 @@ def _base(name: str, discipline: Discipline, **kwargs) -> Scenario:
 
 def sweep_scenarios(preset: str, seed: int = 1, duration: float | None = None) -> list[tuple[str, Scenario]]:
     """(point label, scenario) pairs for a sweep preset, one per
-    (point, discipline)."""
-    if preset not in SWEEP_PRESETS:
+    (discipline, point)."""
+    if preset not in SWEEPS:
         raise ScenarioError(f"unknown sweep preset {preset!r}; known: {sorted(SWEEP_PRESETS)}")
-    out: list[tuple[str, Scenario]] = []
-    for discipline in SWEEP_DISCIPLINES:
-        d = discipline.value
-        if preset == "model2-sweep":
-            for total, n_tcp, n_udp in MODEL2_POINTS:
-                out.append(
-                    (
-                        f"{total}-flows",
-                        _base(
-                            f"model2-{total}-{d}",
-                            discipline,
-                            n_tcp=n_tcp,
-                            n_udp=n_udp,
-                            seed=seed,
-                            duration_s=duration or 100.0,
-                        ),
-                    )
-                )
-        elif preset == "buffer-sweep":
-            for buffer_pkts in BUFFER_SWEEP_SIZES:
-                out.append(
-                    (
-                        f"B{buffer_pkts}",
-                        _base(
-                            f"buffer{buffer_pkts}-{d}",
-                            discipline,
-                            n_tcp=33,
-                            n_udp=1,
-                            buffer_pkts=buffer_pkts,
-                            seed=seed,
-                            duration_s=duration or 100.0,
-                        ),
-                    )
-                )
-        elif preset == "rtt-mix":
-            # 22 TCPs: half with 50 ms RTT, half with 20 ms. One-way
-            # propagation is RTT/2; the bottleneck contributes 10 ms, so the
-            # access links carry 15 ms and 0 ms respectively.
-            overrides: dict[int, dict] = {}
-            for i in range(22):
-                flow_id = 4 + i  # flows 1..3 are UDP
-                delay = 0.015 if i < 11 else 0.0
-                overrides[flow_id] = {"access_delay_s": delay}
-            out.append(
-                (
-                    "rtt-mix",
-                    _base(
-                        f"rttmix-{d}",
-                        discipline,
-                        n_tcp=22,
-                        n_udp=3,
-                        seed=seed,
-                        duration_s=duration or 200.0,
-                        flow_overrides=overrides,
-                    ),
-                )
-            )
-        elif preset == "reno-vs-vegas":
-            # The inter-protocol run drives its single CBR source at 0.6 Mb/s:
-            # under RED an unresponsive flow keeps nearly its offered rate,
-            # and the reported RED-row UDP throughput sits at ~0.57 Mb/s.
-            out.append(
-                (
-                    "reno-vs-vegas",
-                    _base(
-                        f"renovegas-{d}",
-                        discipline,
-                        n_tcp=2,
-                        n_udp=1,
-                        udp_rate_bps=0.6e6,
-                        seed=seed,
-                        duration_s=duration or 100.0,
-                        flow_overrides={3: {"variant": TcpVariant.VEGAS}},
-                    ),
-                )
-            )
-        elif preset == "web-mix":
-            # Flow 1 is the UDP source, flows 2..16 stay FTP, 17..31 run HTTP.
-            overrides = {17 + i: {"app": AppKind.HTTP} for i in range(15)}
-            out.append(
-                (
-                    "web-mix",
-                    _base(
-                        f"webmix-{d}",
-                        discipline,
-                        n_tcp=30,
-                        n_udp=1,
-                        seed=seed,
-                        duration_s=duration or 100.0,
-                        flow_overrides=overrides,
-                    ),
-                )
-            )
-    return out
+    default_duration, points = SWEEPS[preset]
+    # deepcopy: no two scenarios share a flow_overrides dict.
+    return [
+        (label, _sweep_point(f"{stem}-{d.value}", d, seed=seed, duration_s=duration or default_duration,
+                             **copy.deepcopy(values)))
+        for d in SWEEP_DISCIPLINES
+        for label, stem, values in points
+    ]

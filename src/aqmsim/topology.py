@@ -94,12 +94,11 @@ class FlowSetup:
 
     flow_id: int
     kind: str  # "tcp" | "udp"
-    variant: TcpVariant = TcpVariant.RENO
-    app: AppKind = AppKind.FTP
-    access_bps: float = 10e6
-    access_delay_s: float = 0.001
+    variant: TcpVariant
+    app: AppKind
+    access_bps: float
+    access_delay_s: float
     start_s: float = 0.0
-    udp_rate_bps: float = 2e6
 
 
 @dataclass
@@ -107,7 +106,6 @@ class Dumbbell:
     """Built topology: sources and sinks around one bottleneck router."""
 
     loop: EventLoop
-    rng: Rng
     router: BottleneckRouter
     sources: dict[int, TcpSource | CbrSource] = field(default_factory=dict)
     sinks: dict[int, TcpSink | UdpSink] = field(default_factory=dict)
@@ -185,53 +183,23 @@ class Dumbbell:
         return residual
 
 
-def build_flow_setups(
-    n_tcp: int,
-    n_udp: int,
-    *,
-    tcp_variant: TcpVariant = TcpVariant.RENO,
-    app: AppKind = AppKind.FTP,
-    udp_rate_bps: float = 2e6,
-    access_bps: float = 10e6,
-    access_delay_s: float = 0.001,
-    overrides: dict[int, dict] | None = None,
-) -> list[FlowSetup]:
-    """Flow numbering: UDP flows first (1..n_udp), then TCP."""
-    if n_tcp < 0 or n_udp < 0 or n_tcp + n_udp < 1:
-        raise ValueError(
-            f"need n_tcp >= 0, n_udp >= 0 and at least one flow, "
-            f"got n_tcp={n_tcp}, n_udp={n_udp}"
+def build_flow_setups(scenario) -> list[FlowSetup]:
+    """One setup per flow of a validated scenario, overrides applied.
+    Flow numbering: UDP flows first (1..n_udp), then TCP."""
+    setups = [
+        FlowSetup(
+            flow_id,
+            "udp" if flow_id <= scenario.n_udp else "tcp",
+            scenario.tcp_variant,
+            scenario.app,
+            scenario.access_bps,
+            scenario.access_delay_s,
         )
-    setups = []
-    for i in range(n_udp):
-        setups.append(
-            FlowSetup(
-                flow_id=i + 1,
-                kind="udp",
-                udp_rate_bps=udp_rate_bps,
-                access_bps=access_bps,
-                access_delay_s=access_delay_s,
-            )
-        )
-    for i in range(n_tcp):
-        setups.append(
-            FlowSetup(
-                flow_id=n_udp + i + 1,
-                kind="tcp",
-                variant=tcp_variant,
-                app=app,
-                access_bps=access_bps,
-                access_delay_s=access_delay_s,
-            )
-        )
-    for flow_id, fields_ in (overrides or {}).items():
-        if not 1 <= flow_id <= len(setups):
-            raise ValueError(f"override for unknown flow {flow_id}")
-        setup = setups[flow_id - 1]
+        for flow_id in range(1, scenario.n_flows + 1)
+    ]
+    for flow_id, fields_ in scenario.flow_overrides.items():
         for name, value in fields_.items():
-            if not hasattr(setup, name):
-                raise ValueError(f"unknown flow override field {name!r}")
-            setattr(setup, name, value)
+            setattr(setups[flow_id - 1], name, value)
     return setups
 
 
@@ -249,22 +217,10 @@ def build_dumbbell(scenario, loop: EventLoop, rng: Rng, observer) -> Dumbbell:
     state = QdiscState(params=params, discipline=scenario.discipline)
     bottleneck = Link(scenario.bottleneck_bps, scenario.bottleneck_delay_s)
     router = BottleneckRouter(state, bottleneck, loop, rng, observer)
-    dumbbell = Dumbbell(loop=loop, rng=rng, router=router)
-    dumbbell.observer = observer
+    dumbbell = Dumbbell(loop=loop, router=router, observer=observer)
     dumbbell._register_handlers()
 
-    setups = build_flow_setups(
-        scenario.n_tcp,
-        scenario.n_udp,
-        tcp_variant=scenario.tcp_variant,
-        app=scenario.app,
-        udp_rate_bps=scenario.udp_rate_bps,
-        access_bps=scenario.access_bps,
-        access_delay_s=scenario.access_delay_s,
-        overrides=scenario.flow_overrides,
-    )
-
-    for setup in setups:
+    for setup in build_flow_setups(scenario):
         flow_id = setup.flow_id
         access = Link(setup.access_bps, setup.access_delay_s)
         dumbbell.access_links[flow_id] = access
@@ -286,7 +242,7 @@ def build_dumbbell(scenario, loop: EventLoop, rng: Rng, observer) -> Dumbbell:
         if setup.kind == "udp":
             source = CbrSource(
                 flow_id,
-                rate_bps=setup.udp_rate_bps,
+                rate_bps=scenario.udp_rate_bps,
                 packet_size_bits=scenario.packet_size_bits,
                 transmit=transmit,
                 schedule_emit_at=lambda t, _fid=flow_id: loop.schedule(

@@ -3,7 +3,7 @@
 Simplified packet-level TCP (Reno and Vegas) driven by a persistent FTP
 application or a short-lived HTTP-like page model, constant-bit-rate UDP
 sources with no feedback path, and receivers that emit one cumulative ACK
-per data packet (TCP) or just count delivered bits (UDP).
+per data packet (TCP) or nothing (UDP).
 
 The TCP model covers slow start, congestion avoidance, fast retransmit on
 the third duplicate ACK, and timeout recovery back to a one-packet window;
@@ -329,7 +329,6 @@ class CbrSource:
         self.rate_bps = rate_bps
         self.packet_size_bits = packet_size_bits
         self.interval = packet_size_bits / rate_bps
-        self.next_emit = 0.0
         self.next_seq = 0
         self._transmit = transmit
         self._schedule_emit_at = schedule_emit_at
@@ -337,8 +336,7 @@ class CbrSource:
     def on_source_emit(self, now: float) -> None:
         self._transmit(Packet(self.flow_id, self.next_seq, self.packet_size_bits))
         self.next_seq += 1
-        self.next_emit = now + self.interval
-        self._schedule_emit_at(self.next_emit)
+        self._schedule_emit_at(now + self.interval)
 
 
 class TcpSink:
@@ -350,10 +348,8 @@ class TcpSink:
         self.flow_id = flow_id
         self.expected = 0
         self._out_of_order: set[int] = set()
-        self.bits_received = 0
 
     def on_packet(self, pk: Packet) -> tuple[int, bool]:
-        self.bits_received += pk.size_bits
         if pk.seq == self.expected:
             self.expected += 1
             while self.expected in self._out_of_order:
@@ -365,12 +361,10 @@ class TcpSink:
 
 
 class UdpSink:
-    """Counts delivered bits; emits nothing."""
+    """Absorbs delivered packets; emits nothing."""
 
     def __init__(self, flow_id: int) -> None:
         self.flow_id = flow_id
-        self.bits_received = 0
 
     def on_packet(self, pk: Packet) -> None:
-        self.bits_received += pk.size_bits
         return None

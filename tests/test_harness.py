@@ -158,6 +158,13 @@ class TestCli:
         assert cli_main(["validate", "--scenario", "model1-choke"]) == 0
         assert "ok" in capsys.readouterr().out
 
+    def test_validate_file_whose_path_contains_equals(self, tmp_path, capsys):
+        (tmp_path / "runs").mkdir()
+        conf = tmp_path / "runs" / "run=1.conf"
+        conf.write_text("[qdisc]\ndiscipline = red\n[traffic]\nn_tcp = 1\nn_udp = 1\n")
+        assert cli_main(["validate", "--scenario", str(conf)]) == 0
+        assert "ok" in capsys.readouterr().out
+
     def test_validate_bad_file(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
         conf.write_text("[qdisc]\ndiscipline = red\n")

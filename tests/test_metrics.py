@@ -7,7 +7,6 @@ from aqmsim.metrics import (
     FlowStats,
     MetricsCollector,
     goodput_tcp,
-    goodput_udp,
     jain_index,
     queuing_delay,
     throughput,
@@ -26,11 +25,11 @@ from aqmsim.scenario import Scenario
 
 class TestThroughput:
     def test_definition(self):
-        stats = FlowStats(1, bits_delivered=1_000_000, start=0.0, end=10.0)
+        stats = FlowStats(1, bits_delivered=1_000_000)
         assert throughput(stats, (0.0, 10.0)) == pytest.approx(100_000.0)
 
     def test_zero_deliveries(self):
-        stats = FlowStats(1, bits_delivered=0, start=0.0, end=10.0)
+        stats = FlowStats(1, bits_delivered=0)
         assert throughput(stats, (0.0, 10.0)) == 0.0
 
     def test_empty_window_rejected(self):
@@ -41,32 +40,20 @@ class TestThroughput:
 
 class TestGoodput:
     def test_tcp_formula(self):
-        stats = FlowStats(
-            1, bits_delivered=10_000_000, bits_retransmitted_delivered=1_000_000,
-            start=0.0, end=10.0,
-        )
-        assert goodput_tcp(stats) == pytest.approx(900_000.0)
+        stats = FlowStats(1, bits_delivered=10_000_000, bits_retransmitted_delivered=1_000_000)
+        assert goodput_tcp(stats, (0.0, 10.0)) == pytest.approx(900_000.0)
 
     def test_no_retransmissions_equals_throughput(self):
-        stats = FlowStats(1, bits_delivered=5_000_000, start=0.0, end=10.0)
-        assert goodput_tcp(stats) == throughput(stats, (0.0, 10.0))
-
-    def test_udp_formula(self):
-        stats = FlowStats(1, bits_delivered=2_000_000, start=0.0, end=4.0)
-        assert goodput_udp(stats) == pytest.approx(500_000.0)
+        stats = FlowStats(1, bits_delivered=5_000_000)
+        assert goodput_tcp(stats, (0.0, 10.0)) == throughput(stats, (0.0, 10.0))
 
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
-            goodput_tcp(FlowStats(1, start=5.0, end=5.0))
-        with pytest.raises(ValueError):
-            goodput_udp(FlowStats(1, start=5.0, end=5.0))
+            goodput_tcp(FlowStats(1), (5.0, 5.0))
 
     def test_goodput_never_exceeds_throughput(self):
-        stats = FlowStats(
-            1, bits_delivered=10_000_000, bits_retransmitted_delivered=400_000,
-            start=0.0, end=10.0,
-        )
-        assert goodput_tcp(stats) <= throughput(stats, (0.0, 10.0))
+        stats = FlowStats(1, bits_delivered=10_000_000, bits_retransmitted_delivered=400_000)
+        assert goodput_tcp(stats, (0.0, 10.0)) <= throughput(stats, (0.0, 10.0))
 
 
 class TestJainIndex:

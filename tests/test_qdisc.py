@@ -365,13 +365,3 @@ class TestDispatch:
         pk = Packet(1, 0)
         enqueue(state, pk, Rng(1), now=3.25)
         assert pk.enqueue_time == 3.25
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            QdiscParams(capacity=100, t_min=80, t_max=40)
-        with pytest.raises(ValueError):
-            QdiscParams(capacity=50, t_min=40, t_max=80)
-        with pytest.raises(ValueError):
-            QdiscParams(w_q=0.0)
-        with pytest.raises(ValueError):
-            QdiscParams(maxcomp=0)

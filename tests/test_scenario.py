@@ -5,13 +5,16 @@ import pytest
 
 from aqmsim.qdisc import Discipline
 from aqmsim.scenario import (
+    MAX_BUFFER_PKTS,
+    MAX_FLOWS,
+    MAX_QUEUE_SAMPLES,
     MODEL2_POINTS,
     PRESETS,
     SWEEP_PRESETS,
     Scenario,
     ScenarioError,
     load_preset,
-    parse_scenario,
+    parse_scenario_file,
     parse_scenario_text,
     sweep_scenarios,
 )
@@ -24,6 +27,33 @@ discipline = choked
 [traffic]
 n_tcp = 2
 n_udp = 1
+"""
+
+# The model-1 scenario in full, as a document.
+MODEL1_CHOKED = """\
+[scenario]
+name = model1-choked
+duration_s = 100
+warmup_s = 10
+seed = 1
+
+[qdisc]
+discipline = choked
+buffer_pkts = 100
+t_min_pkts = 40
+t_max_pkts = 80
+w_q = 0.02
+
+[traffic]
+n_tcp = 33
+n_udp = 1
+udp_rate_mbps = 2.0
+
+[links]
+bottleneck_mbps = 1.0
+bottleneck_delay_ms = 10
+access_mbps = 10.0
+access_delay_ms = 1.0
 """
 
 
@@ -40,6 +70,9 @@ class TestParsing:
         assert scenario.udp_rate_bps == pytest.approx(2e6)
         assert scenario.bottleneck_bps == pytest.approx(1e6)
         assert scenario.bottleneck_delay_s == pytest.approx(0.010)
+
+    def test_model1_text_equals_preset(self):
+        assert parse_scenario_text(MODEL1_CHOKED) == load_preset("model1-choked")
 
     def test_defaults_applied(self):
         scenario = parse_scenario_text(MINIMAL)
@@ -103,7 +136,28 @@ class TestParsing:
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "scenario.conf"
         path.write_text(MINIMAL)
-        assert parse_scenario(str(path)).n_tcp == 2
+        assert parse_scenario_file(str(path)).n_tcp == 2
+
+    def test_parse_from_file_whose_path_contains_equals(self, tmp_path):
+        path = tmp_path / "run=1.conf"
+        path.write_text(MINIMAL)
+        assert parse_scenario_file(str(path)).n_tcp == 2
+
+    def test_key_repeated_in_second_section_rejected(self):
+        with pytest.raises(ScenarioError, match="line 9: key 'n_tcp' in \\[traffic\\] already set on line 5"):
+            parse_scenario_text(MINIMAL + "\n[traffic]\nn_tcp = 5\n")
+
+    def test_key_repeated_in_flow_section_rejected(self):
+        doc = MINIMAL + "\n[flow.3]\nvariant = vegas\nvariant = reno\n"
+        with pytest.raises(ScenarioError, match="line 10: key 'variant' in \\[flow.3\\] already set on line 9"):
+            parse_scenario_text(doc)
+
+    def test_same_key_in_two_flow_sections_accepted(self):
+        doc = MINIMAL + "\n[flow.2]\nvariant = vegas\n[flow.3]\nvariant = vegas\n"
+        assert parse_scenario_text(doc).flow_overrides == {
+            2: {"variant": TcpVariant.VEGAS},
+            3: {"variant": TcpVariant.VEGAS},
+        }
 
     def test_bad_value_reports_line_and_key(self):
         with pytest.raises(ScenarioError) as err:
@@ -147,6 +201,48 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="must be finite"):
             parse_scenario_text(MINIMAL + doc)
 
+    # rule -> (field values that break it, text the error must contain)
+    RULES = {
+        "no-flows": ({"n_tcp": 0, "n_udp": 0}, "flows"),
+        "negative-flow-count": ({"n_tcp": -1, "n_udp": 2}, "flows"),
+        "too-many-flows": ({"n_tcp": MAX_FLOWS, "n_udp": 1}, "flows"),
+        "buffer-too-large": ({"buffer_pkts": MAX_BUFFER_PKTS + 1}, "buffer_pkts"),
+        "thresholds-inverted": ({"t_min": 80, "t_max": 40}, "t_min"),
+        "t-max-above-buffer": ({"buffer_pkts": 50}, "t_max"),
+        "w-q-zero": ({"w_q": 0.0}, "w_q"),
+        "max-p-above-one": ({"max_p": 1.5}, "max_p"),
+        "maxcomp-zero": ({"maxcomp": 0}, "maxcomp"),
+        "too-many-queue-samples": ({"sample_period_s": 1e-9}, "sample_period_s"),
+        "udp-rate-above-access": ({"udp_rate_bps": 20e6}, "udp_rate_mbps"),
+        "udp-rate-above-flow-access": ({"flow_overrides": {1: {"access_bps": 1e6}}}, "udp_rate_mbps"),
+        "http-page-mean-below-one": ({"http_page_mean_pkts": 0.0}, "http_page_mean_pkts"),
+        "http-think-mean-zero": ({"http_think_mean_s": 0.0}, "http_think_mean_s"),
+        "http-think-mean-negative": ({"http_think_mean_s": -1.0}, "http_think_mean_s"),
+        "flow-starts-at-duration": ({"flow_overrides": {2: {"start_s": 100.0}}}, "start_s"),
+        "override-unknown-flow": ({"flow_overrides": {99: {"start_s": 1.0}}}, "flow.99"),
+        "override-unknown-field": ({"flow_overrides": {1: {"bogus": 1.0}}}, "bogus"),
+    }
+
+    @pytest.mark.parametrize("values, named", RULES.values(), ids=RULES.keys())
+    def test_rule_rejected(self, values, named):
+        with pytest.raises(ScenarioError, match=named):
+            replace(load_preset("model1-choked"), **values).validate()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"n_tcp": MAX_FLOWS - 1, "n_udp": 1},
+            {"buffer_pkts": MAX_BUFFER_PKTS},
+            {"sample_period_s": 100.0 / MAX_QUEUE_SAMPLES},
+            {"udp_rate_bps": 10e6},
+            {"flow_overrides": {1: {"access_bps": 2e6}, 2: {"start_s": 99.9}}},
+            {"http_page_mean_pkts": 1.0},
+        ],
+        ids=["flows", "buffer", "queue-samples", "udp-rate", "flow-overrides", "http-page-mean"],
+    )
+    def test_bound_itself_accepted(self, values):
+        replace(load_preset("model1-choked"), **values).validate()
+
     def test_fair_share(self):
         scenario = Scenario(n_tcp=33, n_udp=1)
         assert scenario.fair_share_bps() == pytest.approx(1e6 / 34)
@@ -157,6 +253,15 @@ class TestPresets:
         for name in PRESETS:
             scenario = load_preset(name)
             scenario.validate()
+
+    def test_load_preset_returns_a_fresh_scenario(self):
+        first, second = load_preset("model1-red"), load_preset("model1-red")
+        assert first == second
+        assert first is not second and first.flow_overrides is not second.flow_overrides
+
+    def test_sweep_scenarios_share_no_overrides(self):
+        rows = sweep_scenarios("rtt-mix", seed=1) + sweep_scenarios("rtt-mix", seed=1)
+        assert len({id(s.flow_overrides) for _, s in rows}) == len(rows)
 
     def test_unknown_preset(self):
         with pytest.raises(ScenarioError):

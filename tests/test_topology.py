@@ -30,29 +30,25 @@ class TestLinkTransmit:
 
 class TestFlowSetups:
     def test_model1_counts(self):
-        setups = build_flow_setups(33, 1)
+        setups = build_flow_setups(Scenario(n_tcp=33, n_udp=1))
         assert len(setups) == 34
         assert setups[0].kind == "udp" and setups[0].flow_id == 1
         assert all(s.kind == "tcp" for s in setups[1:])
 
     def test_model2_point(self):
-        setups = build_flow_setups(22, 3)
+        setups = build_flow_setups(Scenario(n_tcp=22, n_udp=3))
         assert sum(1 for s in setups if s.kind == "udp") == 3
         assert sum(1 for s in setups if s.kind == "tcp") == 22
 
-    def test_invalid_counts_rejected(self):
-        with pytest.raises(ValueError):
-            build_flow_setups(0, 0)
-        with pytest.raises(ValueError):
-            build_flow_setups(-1, 2)
-
-    def test_override_unknown_flow_rejected(self):
-        with pytest.raises(ValueError):
-            build_flow_setups(1, 1, overrides={5: {"start_s": 1.0}})
-
-    def test_override_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            build_flow_setups(1, 1, overrides={1: {"bogus": 1.0}})
+    def test_scenario_defaults_and_overrides_applied(self):
+        scenario = Scenario(
+            n_tcp=2, n_udp=1, tcp_variant=TcpVariant.VEGAS, access_delay_s=0.002,
+            flow_overrides={3: {"variant": TcpVariant.RENO, "start_s": 0.5}},
+        )
+        setups = build_flow_setups(scenario)
+        assert [s.variant for s in setups[1:]] == [TcpVariant.VEGAS, TcpVariant.RENO]
+        assert [s.start_s for s in setups] == [0.0, 0.0, 0.5]
+        assert all(s.access_delay_s == 0.002 and s.access_bps == 10e6 for s in setups)
 
 
 def build(scenario):

@@ -20,8 +20,9 @@ class EventKind(IntEnum):
     TRANSMISSION_COMPLETE = 2
     PROPAGATION_DELIVERY = 3
     ACK_DELIVERY = 4
-    TIMER_EXPIRY = 5
+    TIMER_EXPIRY = 5  # a TCP retransmission timeout
     SOURCE_EMIT = 6
+    QUEUE_SAMPLE = 7
 
 
 class Event(NamedTuple):
@@ -105,7 +106,6 @@ class Rng:
     """
 
     def __init__(self, seed: int) -> None:
-        self.seed = seed
         self._r = random.Random(seed)
 
     def index(self, n: int) -> int:

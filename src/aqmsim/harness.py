@@ -32,10 +32,8 @@ class FlowReport:
 
 @dataclass
 class RunReport:
-    scenario_name: str
     discipline: str
     seed: int
-    duration_s: float
     warmup_s: float
     fair_share_bps: float
     flows: list[FlowReport]
@@ -70,10 +68,9 @@ def run_experiment(scenario: Scenario) -> RunReport:
         warmup=scenario.warmup_s,
         duration=scenario.duration_s,
         discipline=scenario.discipline,
-        params=None,
+        params=scenario.qdisc_params(),
     )
     dumbbell = build_dumbbell(scenario, loop, rng, collector)
-    collector.params = dumbbell.router.state.params
     for flow_id in dumbbell.sources:
         collector.register_flow(flow_id)
 
@@ -100,7 +97,7 @@ def run_experiment(scenario: Scenario) -> RunReport:
 
     shares = [flow.throughput_bps for flow in flows]
     fairness = metrics_mod.jain_index(shares) if any(shares) else 0.0
-    delay = collector.mean_queuing_delay() if collector.delay_samples else 0.0
+    delay = collector.mean_queuing_delay() if collector.delay_count else 0.0
 
     residual = dumbbell.residual_packets()
     conservation = {
@@ -114,10 +111,8 @@ def run_experiment(scenario: Scenario) -> RunReport:
     }
 
     return RunReport(
-        scenario_name=scenario.name,
         discipline=scenario.discipline.value,
         seed=scenario.seed,
-        duration_s=scenario.duration_s,
         warmup_s=scenario.warmup_s,
         fair_share_bps=scenario.fair_share_bps(),
         flows=flows,
@@ -157,102 +152,82 @@ def run_sweep(
 # -- CSV emission ----------------------------------------------------------
 
 
-def _writer(path: str, schema: str):
-    fh = open(path, "w", newline="", encoding="utf-8")
-    fh.write(f"# schema: {schema} v{CSV_SCHEMA_VERSION}\n")
-    return fh, csv.writer(fh)
+def _write_csv(out_dir: str, schema: str, header: list[str], rows) -> str:
+    """Write out_dir/<schema>.csv (schema comment line, header, rows); return its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{schema}.csv")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# schema: {schema} v{CSV_SCHEMA_VERSION}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def emit_outputs(report: RunReport, out_dir: str) -> list[str]:
     """Write summary.csv, aggregate.csv, queue_trace.csv and timeseries.csv."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    path = os.path.join(out_dir, "summary.csv")
-    fh, writer = _writer(path, "summary")
-    with fh:
-        writer.writerow(["flow_id", "kind", "throughput_mbps", "goodput_mbps", "fair_share_mbps"])
-        for flow in report.flows:
-            writer.writerow(
-                [
-                    flow.flow_id,
-                    flow.kind,
-                    f"{flow.throughput_bps / 1e6:.6f}",
-                    f"{flow.goodput_bps / 1e6:.6f}",
-                    f"{report.fair_share_bps / 1e6:.6f}",
-                ]
-            )
-    written.append(path)
-
-    path = os.path.join(out_dir, "aggregate.csv")
-    fh, writer = _writer(path, "aggregate")
-    with fh:
-        writer.writerow(
-            ["discipline", "tcp_goodput_mbps", "udp_throughput_mbps", "fairness", "queuing_delay_s"]
-        )
-        writer.writerow(
-            [
-                report.discipline,
-                f"{report.tcp_goodput_bps / 1e6:.6f}",
-                f"{report.udp_throughput_bps / 1e6:.6f}",
-                f"{report.fairness:.6f}",
-                f"{report.mean_queuing_delay_s:.6f}",
-            ]
-        )
-    written.append(path)
-
-    path = os.path.join(out_dir, "queue_trace.csv")
-    fh, writer = _writer(path, "queue_trace")
-    with fh:
-        writer.writerow(["t", "q_c", "q_a"])
-        for point in report.queue_trace:
-            writer.writerow([f"{point.t:.3f}", point.q_c, f"{point.q_a:.6f}"])
-    written.append(path)
-
-    path = os.path.join(out_dir, "timeseries.csv")
-    fh, writer = _writer(path, "timeseries")
-    with fh:
-        writer.writerow(["t_bin", "flow_id", "throughput_mbps"])
-        for flow_id in sorted(report.bins):
-            for t_bin, bits in report.bins[flow_id].items():
-                writer.writerow([t_bin, flow_id, f"{bits / 1e6:.6f}"])
-    written.append(path)
-
-    return written
+    summary = (
+        [
+            flow.flow_id,
+            flow.kind,
+            f"{flow.throughput_bps / 1e6:.6f}",
+            f"{flow.goodput_bps / 1e6:.6f}",
+            f"{report.fair_share_bps / 1e6:.6f}",
+        ]
+        for flow in report.flows
+    )
+    aggregate = [
+        [
+            report.discipline,
+            f"{report.tcp_goodput_bps / 1e6:.6f}",
+            f"{report.udp_throughput_bps / 1e6:.6f}",
+            f"{report.fairness:.6f}",
+            f"{report.mean_queuing_delay_s:.6f}",
+        ]
+    ]
+    queue_trace = ([f"{point.t:.3f}", point.q_c, f"{point.q_a:.6f}"] for point in report.queue_trace)
+    timeseries = (
+        [t_bin, flow_id, f"{bits / 1e6:.6f}"]
+        for flow_id in sorted(report.bins)
+        for t_bin, bits in report.bins[flow_id].items()
+    )
+    return [
+        _write_csv(out_dir, "summary", ["flow_id", "kind", "throughput_mbps", "goodput_mbps", "fair_share_mbps"], summary),
+        _write_csv(
+            out_dir, "aggregate",
+            ["discipline", "tcp_goodput_mbps", "udp_throughput_mbps", "fairness", "queuing_delay_s"], aggregate,
+        ),
+        _write_csv(out_dir, "queue_trace", ["t", "q_c", "q_a"], queue_trace),
+        _write_csv(out_dir, "timeseries", ["t_bin", "flow_id", "throughput_mbps"], timeseries),
+    ]
 
 
 def emit_sweep_csv(rows: list[tuple[str, RunReport]], out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "sweep.csv")
-    fh, writer = _writer(path, "sweep")
-    with fh:
-        writer.writerow(
-            [
-                "point",
-                "discipline",
-                "n_flows",
-                "seed",
-                "tcp_throughput_mbps",
-                "tcp_goodput_mbps",
-                "udp_throughput_mbps",
-                "fairness",
-                "queuing_delay_s",
-                "sdv_kbps",
-            ]
-        )
-        for label, report in rows:
-            writer.writerow(
-                [
-                    label,
-                    report.discipline,
-                    len(report.flows),
-                    report.seed,
-                    f"{report.tcp_throughput_bps / 1e6:.6f}",
-                    f"{report.tcp_goodput_bps / 1e6:.6f}",
-                    f"{report.udp_throughput_bps / 1e6:.6f}",
-                    f"{report.fairness:.6f}",
-                    f"{report.mean_queuing_delay_s:.6f}",
-                    f"{report.throughput_sdv_kbps():.6f}",
-                ]
-            )
-    return path
+    header = [
+        "point",
+        "discipline",
+        "n_flows",
+        "seed",
+        "tcp_throughput_mbps",
+        "tcp_goodput_mbps",
+        "udp_throughput_mbps",
+        "fairness",
+        "queuing_delay_s",
+        "sdv_kbps",
+    ]
+    sweep = (
+        [
+            label,
+            report.discipline,
+            len(report.flows),
+            report.seed,
+            f"{report.tcp_throughput_bps / 1e6:.6f}",
+            f"{report.tcp_goodput_bps / 1e6:.6f}",
+            f"{report.udp_throughput_bps / 1e6:.6f}",
+            f"{report.fairness:.6f}",
+            f"{report.mean_queuing_delay_s:.6f}",
+            f"{report.throughput_sdv_kbps():.6f}",
+        ]
+        for label, report in rows
+    )
+    return _write_csv(out_dir, "sweep", header, sweep)

@@ -1,8 +1,8 @@
 """Reported quantities: throughput, goodput, Jain fairness, queue residence.
 
 Rates and fairness are computed over the measurement window
-[warmup, duration]; queue-residence samples are windowed by their service
-time. Dropped packets never contribute a delay sample, since only
+[warmup, duration]; queue residence is a running mean over service
+starts in that window. Dropped packets never contribute to it, since only
 transmitted packets have a service start.
 """
 
@@ -30,11 +30,6 @@ class FlowStats:
     flow_id: int
     bits_delivered: int = 0
     bits_retransmitted_delivered: int = 0
-
-
-class DelaySample(NamedTuple):
-    enqueue_time: float
-    service_start: float
 
 
 class QueueTracePoint(NamedTuple):
@@ -71,17 +66,10 @@ def jain_index(shares: list[float]) -> float:
     return (total * total) / (len(shares) * squares)
 
 
-def queuing_delay(samples: list[DelaySample]) -> float:
-    """Mean queue residence time of transmitted packets."""
-    if not samples:
-        raise ValueError("no delay samples")
-    return sum(s.service_start - s.enqueue_time for s in samples) / len(samples)
-
-
 def draw_bound_table(discipline: Discipline | None, params: QdiscParams | None) -> list[int]:
     """Most draws a discipline may make on an arrival, per occupancy
-    q_c = 0..capacity, from the draw rule of each discipline. Empty until
-    the qdisc parameters are known."""
+    q_c = 0..capacity, from the draw rule of each discipline. Empty when
+    the qdisc parameters are not given."""
     if params is None:
         return []
     n = params.capacity + 1
@@ -98,8 +86,8 @@ class MetricsCollector:
     """In-process observer fed synchronously by the event loop.
 
     Tracks full-run packet conservation counts, windowed per-flow bits,
-    per-second delivery bins, queue residence samples, the periodic queue
-    trace, and per-outcome decision counts with a draws histogram.
+    per-second delivery bins, queue residence, the periodic queue trace and
+    per-outcome decision counts with a draws histogram, for registered flows.
     """
 
     def __init__(
@@ -111,30 +99,21 @@ class MetricsCollector:
     ) -> None:
         self.warmup = warmup
         self.duration = duration
-        self.discipline = discipline
-        self.params = params
+        # The draw bound is tabulated once per run, not recomputed per arrival.
+        self.draw_bounds = draw_bound_table(discipline, params)
         self.emitted: Counter[int] = Counter()
         self.delivered: Counter[int] = Counter()
         self.dropped: Counter[int] = Counter()
         self.flow_stats: dict[int, FlowStats] = {}
         self.bins: dict[int, Counter[int]] = {}
-        self.delay_samples: list[DelaySample] = []
+        self.delay_sum = 0.0
+        self.delay_count = 0
         self.queue_trace: list[QueueTracePoint] = []
         self.admitted = 0
         self.arrivals_dropped = 0
         self.match_drops = 0
         self.draws_histogram: Counter[int] = Counter()
         self.draw_bound_violations = 0
-
-    @property
-    def params(self) -> QdiscParams | None:
-        return self._params
-
-    @params.setter
-    def params(self, params: QdiscParams | None) -> None:
-        # The draw bound is tabulated once per run, not recomputed per arrival.
-        self._params = params
-        self.draw_bounds = draw_bound_table(self.discipline, params)
 
     @property
     def outcome_counts(self) -> Counter[Outcome]:
@@ -147,13 +126,9 @@ class MetricsCollector:
             }
         )
 
-    def register_flow(self, flow_id: int) -> FlowStats:
-        stats = self.flow_stats.get(flow_id)
-        if stats is None:
-            stats = FlowStats(flow_id)
-            self.flow_stats[flow_id] = stats
-            self.bins[flow_id] = Counter()
-        return stats
+    def register_flow(self, flow_id: int) -> None:
+        self.flow_stats[flow_id] = FlowStats(flow_id)
+        self.bins[flow_id] = Counter()
 
     def on_emit(self, pk: Packet) -> None:
         self.emitted[pk.flow_id] += 1
@@ -184,13 +159,14 @@ class MetricsCollector:
 
     def on_service_start(self, pk: Packet, now: float) -> None:
         if now >= self.warmup:
-            self.delay_samples.append(DelaySample(pk.enqueue_time, now))
+            self.delay_sum += now - pk.enqueue_time
+            self.delay_count += 1
 
     def on_delivery(self, pk: Packet, now: float) -> None:
         self.delivered[pk.flow_id] += 1
-        stats = self.register_flow(pk.flow_id)
         self.bins[pk.flow_id][int(now)] += pk.size_bits
         if self.warmup <= now <= self.duration:
+            stats = self.flow_stats[pk.flow_id]
             stats.bits_delivered += pk.size_bits
             if pk.is_retransmission:
                 stats.bits_retransmitted_delivered += pk.size_bits
@@ -199,4 +175,7 @@ class MetricsCollector:
         self.queue_trace.append(QueueTracePoint(now, q_c, q_a))
 
     def mean_queuing_delay(self) -> float:
-        return queuing_delay(self.delay_samples)
+        """Mean queue residence time of packets serviced after warm-up."""
+        if not self.delay_count:
+            raise ValueError("no delay samples")
+        return self.delay_sum / self.delay_count

@@ -2,7 +2,8 @@
 
 Grammar (line oriented, human-diffable):
 
-    # comment                          blank lines and '#' comments ignored
+    # comment                          blank lines and comments ignored; a
+                                       comment is '#' at line start or after whitespace
     [section]                          sections: scenario, qdisc, traffic,
                                        links, flow.N (per-flow overrides)
     key = value
@@ -30,9 +31,10 @@ from __future__ import annotations
 
 import copy
 import math
+import re
 from dataclasses import dataclass, field, fields
 
-from .qdisc import Discipline
+from .qdisc import Discipline, QdiscParams
 from .transport import AppKind, TcpVariant
 
 
@@ -82,6 +84,16 @@ class Scenario:
 
     def fair_share_bps(self) -> float:
         return self.bottleneck_bps / self.n_flows
+
+    def qdisc_params(self) -> QdiscParams:
+        return QdiscParams(
+            capacity=self.buffer_pkts,
+            t_min=self.t_min,
+            t_max=self.t_max,
+            w_q=self.w_q,
+            max_p=self.max_p,
+            maxcomp=self.maxcomp,
+        )
 
     def validate(self) -> None:
         problems = []
@@ -208,6 +220,8 @@ _FLOW_ATTRS = {attr for attr, _ in _FLOW_KEYMAP.values()}
 
 _REQUIRED = {("qdisc", "discipline"), ("traffic", "n_tcp"), ("traffic", "n_udp")}
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
 
 def _convert(raw: str, converter, key: str, lineno: int):
     try:
@@ -231,7 +245,7 @@ def parse_scenario_text(text: str) -> Scenario:
     section = None
     flow_id = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw_line, 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

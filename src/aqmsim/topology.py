@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import qdisc
 from .engine import EventKind, EventLoop, Rng
-from .qdisc import EnqueueDecision, Packet, QdiscParams, QdiscState
+from .qdisc import Packet, QdiscState
 from .transport import (
     ACK_SIZE_BITS,
     AppKind,
@@ -62,13 +62,12 @@ class BottleneckRouter:
         self.observer = observer
         self.in_service: Packet | None = None
 
-    def on_packet_arrival(self, now: float, pk: Packet) -> EnqueueDecision:
+    def on_packet_arrival(self, now: float, pk: Packet) -> None:
         q_c_before = len(self.state.buffer)
         decision = qdisc.enqueue(self.state, pk, self.rng, now)
         self.observer.on_arrival(now, pk, decision, q_c_before, self.state.q_a)
         if decision.outcome is qdisc.Outcome.ADMIT and self.in_service is None:
             self._start_service(now)
-        return decision
 
     def _start_service(self, now: float) -> None:
         pk = qdisc.dequeue(self.state)
@@ -122,7 +121,8 @@ class Dumbbell:
         self.loop.on(EventKind.TRANSMISSION_COMPLETE, self.router.on_transmission_complete)
         self.loop.on(EventKind.PROPAGATION_DELIVERY, self._on_delivery)
         self.loop.on(EventKind.ACK_DELIVERY, self._on_ack_delivery)
-        self.loop.on(EventKind.TIMER_EXPIRY, self._on_timer)
+        self.loop.on(EventKind.TIMER_EXPIRY, self._on_rto)
+        self.loop.on(EventKind.QUEUE_SAMPLE, self._on_queue_sample)
 
     def start_queue_sampler(self, period_s: float, n_samples: int) -> None:
         """Sample the queue at k * period_s for k = 0..n_samples-1.
@@ -133,7 +133,7 @@ class Dumbbell:
         self.sample_period_s = period_s
         self.n_samples = n_samples
         if n_samples > 0:
-            self.loop.schedule(0.0, EventKind.TIMER_EXPIRY, ("qsample", 0))
+            self.loop.schedule(0.0, EventKind.QUEUE_SAMPLE, 0)
 
     def _on_source_emit(self, now: float, flow_id: int) -> None:
         self.sources[flow_id].on_source_emit(now)
@@ -153,16 +153,15 @@ class Dumbbell:
         flow_id, ack_seq, trigger_was_retx = payload
         self.sources[flow_id].on_ack(ack_seq, now, trigger_was_retx)
 
-    def _on_timer(self, now: float, payload: tuple) -> None:
-        tag = payload[0]
-        if tag == "rto":
-            _, flow_id, token = payload
-            self.sources[flow_id].on_timer(token, now)
-        elif tag == "qsample":
-            self.observer.sample_queue(now, len(self.router.state.buffer), self.router.state.q_a)
-            k = payload[1] + 1
-            if k < self.n_samples:
-                self.loop.schedule(k * self.sample_period_s, EventKind.TIMER_EXPIRY, ("qsample", k))
+    def _on_rto(self, now: float, payload: tuple[int, int]) -> None:
+        flow_id, token = payload
+        self.sources[flow_id].on_timer(token, now)
+
+    def _on_queue_sample(self, now: float, k: int) -> None:
+        self.observer.sample_queue(now, len(self.router.state.buffer), self.router.state.q_a)
+        k += 1
+        if k < self.n_samples:
+            self.loop.schedule(k * self.sample_period_s, EventKind.QUEUE_SAMPLE, k)
 
     def residual_packets(self) -> dict[int, int]:
         """Per-flow count of data packets still inside the network:
@@ -206,15 +205,7 @@ def build_flow_setups(scenario) -> list[FlowSetup]:
 def build_dumbbell(scenario, loop: EventLoop, rng: Rng, observer) -> Dumbbell:
     """Construct sources, access links, the bottleneck and sinks, wire all
     event handlers, and schedule every flow's first emission."""
-    params = QdiscParams(
-        capacity=scenario.buffer_pkts,
-        t_min=scenario.t_min,
-        t_max=scenario.t_max,
-        w_q=scenario.w_q,
-        max_p=scenario.max_p,
-        maxcomp=scenario.maxcomp,
-    )
-    state = QdiscState(params=params, discipline=scenario.discipline)
+    state = QdiscState(params=scenario.qdisc_params(), discipline=scenario.discipline)
     bottleneck = Link(scenario.bottleneck_bps, scenario.bottleneck_delay_s)
     router = BottleneckRouter(state, bottleneck, loop, rng, observer)
     dumbbell = Dumbbell(loop=loop, router=router, observer=observer)
@@ -259,7 +250,7 @@ def build_dumbbell(scenario, loop: EventLoop, rng: Rng, observer) -> Dumbbell:
                 packet_size_bits=scenario.packet_size_bits,
                 transmit=transmit,
                 arm_timer=lambda deadline, token, _fid=flow_id: loop.schedule(
-                    deadline, EventKind.TIMER_EXPIRY, ("rto", _fid, token)
+                    deadline, EventKind.TIMER_EXPIRY, (_fid, token)
                 ),
                 schedule_emit=lambda delay, _fid=flow_id: loop.schedule(
                     loop.now + delay, EventKind.SOURCE_EMIT, _fid

@@ -326,7 +326,6 @@ class CbrSource:
         if rate_bps <= 0:
             raise ValueError(f"rate_bps must be positive, got {rate_bps}")
         self.flow_id = flow_id
-        self.rate_bps = rate_bps
         self.packet_size_bits = packet_size_bits
         self.interval = packet_size_bits / rate_bps
         self.next_seq = 0

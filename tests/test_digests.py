@@ -1,7 +1,8 @@
 """Cross-commit behaviour pin: SHA-256 of every CSV a pinned run emits.
 
 The five model-1 presets run at full length; each sweep preset
-contributes one CHOKeD point shortened to 20 s. All runs use seed 1. A
+contributes one CHOKeD point shortened to 20 s, and the whole model-2
+sweep at 5 s pins a many-row sweep.csv. All runs use seed 1. A
 change that moves a digest changes simulated behaviour: it must say why
 and re-run the acceptance gate before re-pinning with
 
@@ -18,7 +19,7 @@ import tempfile
 
 import pytest
 
-from aqmsim.harness import emit_outputs, emit_sweep_csv, run_experiment
+from aqmsim.harness import emit_outputs, emit_sweep_csv, run_experiment, run_sweep
 from aqmsim.qdisc import Discipline
 from aqmsim.scenario import PRESETS, load_preset, sweep_scenarios
 
@@ -35,7 +36,12 @@ SWEEP_POINTS = {
     "web-mix": "web-mix",
 }
 
-RUNS = sorted(PRESETS) + sorted(SWEEP_POINTS)
+# Every point of one sweep under every discipline: sweep.csv's 16 rows.
+FULL_SWEEP = "model2-sweep"
+FULL_SWEEP_RUN = "model2-sweep-full"
+FULL_SWEEP_DURATION_S = 5.0
+
+RUNS = sorted(PRESETS) + sorted(SWEEP_POINTS) + [FULL_SWEEP_RUN]
 
 
 def _sweep_point(preset: str):
@@ -49,6 +55,9 @@ def run_digests(run: str, out_dir: str) -> dict[str, str]:
     """{csv file name: SHA-256 hex} for one pinned run, emitted into out_dir."""
     if run in PRESETS:
         paths = emit_outputs(run_experiment(load_preset(run)), out_dir)
+    elif run == FULL_SWEEP_RUN:
+        rows = run_sweep(FULL_SWEEP, seed=1, duration=FULL_SWEEP_DURATION_S, workers=1)
+        paths = [emit_sweep_csv(rows, out_dir)]
     else:
         label, scenario = _sweep_point(run)
         report = run_experiment(scenario)

@@ -1,10 +1,11 @@
 import csv
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from aqmsim.cli import main as cli_main
-from aqmsim.engine import EventLoop
+from aqmsim.engine import EventKind, EventLoop
 from aqmsim.harness import emit_outputs, emit_sweep_csv, run_experiment, run_sweep
 from aqmsim.scenario import SWEEP_PRESETS, load_preset
 
@@ -52,14 +53,31 @@ class TestRunExperiment:
         run_until = EventLoop.run_until
 
         def record_then_run(loop, t_end):
-            pending_at_start.append(len(loop.pending_events()))
+            pending_at_start.append(Counter(event.kind for event in loop.pending_events()))
             run_until(loop, t_end)
 
         monkeypatch.setattr(EventLoop, "run_until", record_then_run)
         reports = [run_experiment(short_model1(sample_period_s=p)) for p in (0.1, 0.001)]
         assert [len(r.queue_trace) for r in reports] == [151, 15001]
         # One pending emission per flow plus the single queue sampler.
-        assert pending_at_start == [34 + 1, 34 + 1]
+        expected = {EventKind.SOURCE_EMIT: 34, EventKind.QUEUE_SAMPLE: 1}
+        assert pending_at_start == [expected, expected]
+
+    def test_queue_samples_are_their_own_event_kind(self, monkeypatch):
+        dispatched = Counter()
+        on = EventLoop.on
+
+        def counting_on(loop, kind, handler):
+            def counted(now, payload):
+                dispatched[kind] += 1
+                handler(now, payload)
+
+            on(loop, kind, counted)
+
+        monkeypatch.setattr(EventLoop, "on", counting_on)
+        report = run_experiment(short_model1())
+        n_samples = int(15.0 / 0.1) + 1
+        assert dispatched[EventKind.QUEUE_SAMPLE] == len(report.queue_trace) == n_samples
 
     def test_outcome_counts_cover_all_arrivals(self, model1_report):
         assert set(model1_report.outcome_counts) <= {"admit", "drop_arriving", "match_drop"}

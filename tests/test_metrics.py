@@ -3,12 +3,10 @@ from hypothesis import given, strategies as st
 
 from aqmsim.harness import run_experiment
 from aqmsim.metrics import (
-    DelaySample,
     FlowStats,
     MetricsCollector,
     goodput_tcp,
     jain_index,
-    queuing_delay,
     throughput,
 )
 from aqmsim.qdisc import (
@@ -90,17 +88,34 @@ class TestJainIndex:
         assert 1.0 / n - 1e-12 <= index <= 1.0 + 1e-12
 
 
+def serviced(collector, enqueue_time, service_start):
+    collector.on_service_start(Packet(1, 0, enqueue_time=enqueue_time), service_start)
+
+
 class TestQueuingDelay:
     def test_single_sample(self):
-        assert queuing_delay([DelaySample(1.0, 1.5)]) == pytest.approx(0.5)
+        collector = MetricsCollector(0.0, 10.0)
+        serviced(collector, 1.0, 1.5)
+        assert collector.mean_queuing_delay() == pytest.approx(0.5)
 
     def test_instant_service(self):
-        samples = [DelaySample(t, t) for t in (0.0, 1.0, 2.0)]
-        assert queuing_delay(samples) == 0.0
+        collector = MetricsCollector(0.0, 10.0)
+        for t in (0.0, 1.0, 2.0):
+            serviced(collector, t, t)
+        assert collector.mean_queuing_delay() == 0.0
+
+    def test_service_before_warmup_excluded(self):
+        collector = MetricsCollector(5.0, 10.0)
+        serviced(collector, 1.0, 4.0)
+        serviced(collector, 6.0, 6.5)
+        assert collector.delay_count == 1
+        assert collector.mean_queuing_delay() == pytest.approx(0.5)
 
     def test_empty_rejected(self):
+        collector = MetricsCollector(5.0, 10.0)
+        serviced(collector, 1.0, 4.0)  # before warm-up: not a sample
         with pytest.raises(ValueError):
-            queuing_delay([])
+            collector.mean_queuing_delay()
 
     def test_standing_queue_matches_littles_law(self):
         # CBR at 2 Mb/s into a 1 Mb/s DropTail bottleneck with B=40: the
@@ -165,12 +180,6 @@ class TestDrawBound:
         for discipline, bound in flat.items():
             table = MetricsCollector(0.0, 1.0, discipline, params).draw_bounds
             assert table == [bound] * (params.capacity + 1)
-
-    def test_table_follows_params_set_after_construction(self):
-        collector = MetricsCollector(0.0, 1.0, Discipline.GCHOKE)
-        assert collector.draw_bounds == []
-        collector.params = QdiscParams(capacity=50, t_min=10, t_max=30, maxcomp=5)
-        assert collector.draw_bounds == [5] * 51
 
     def test_draws_beyond_bound_counted_as_violation(self):
         params = QdiscParams()

@@ -133,6 +133,10 @@ class TestParsing:
         doc = "# header\n\n" + MINIMAL.replace("n_tcp = 2", "n_tcp = 2  # inline")
         assert parse_scenario_text(doc).n_tcp == 2
 
+    def test_hash_inside_a_value_is_kept(self):
+        doc = MINIMAL + "\n[scenario]\nname = a#b  # trailing comment\n"
+        assert parse_scenario_text(doc).name == "a#b"
+
     def test_parse_from_file(self, tmp_path):
         path = tmp_path / "scenario.conf"
         path.write_text(MINIMAL)

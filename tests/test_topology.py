@@ -54,9 +54,10 @@ class TestFlowSetups:
 def build(scenario):
     loop = EventLoop()
     rng = Rng(scenario.seed)
-    collector = MetricsCollector(scenario.warmup_s, scenario.duration_s, scenario.discipline)
+    collector = MetricsCollector(
+        scenario.warmup_s, scenario.duration_s, scenario.discipline, scenario.qdisc_params()
+    )
     dumbbell = build_dumbbell(scenario, loop, rng, collector)
-    collector.params = dumbbell.router.state.params
     for flow_id in dumbbell.sources:
         collector.register_flow(flow_id)
     return loop, collector, dumbbell

@@ -74,9 +74,6 @@ def run_experiment(scenario: Scenario) -> RunReport:
     for flow_id in dumbbell.sources:
         collector.register_flow(flow_id)
 
-    n_samples = int(scenario.duration_s / scenario.sample_period_s) + 1
-    dumbbell.start_queue_sampler(scenario.sample_period_s, n_samples)
-
     loop.run_until(scenario.duration_s)
 
     window = (scenario.warmup_s, scenario.duration_s)
@@ -102,12 +99,12 @@ def run_experiment(scenario: Scenario) -> RunReport:
     residual = dumbbell.residual_packets()
     conservation = {
         flow_id: {
-            "emitted": collector.emitted[flow_id],
-            "delivered": collector.delivered[flow_id],
-            "dropped": collector.dropped[flow_id],
+            "emitted": stats.emitted,
+            "delivered": stats.delivered,
+            "dropped": stats.dropped,
             "residual": residual[flow_id],
         }
-        for flow_id in sorted(dumbbell.sources)
+        for flow_id, stats in sorted(collector.flow_stats.items())
     }
 
     return RunReport(
@@ -126,7 +123,7 @@ def run_experiment(scenario: Scenario) -> RunReport:
         draws_histogram=dict(sorted(collector.draws_histogram.items())),
         draw_bound_violations=collector.draw_bound_violations,
         conservation=conservation,
-        bins={fid: dict(sorted(bins.items())) for fid, bins in collector.bins.items()},
+        bins={fid: dict(sorted(stats.bins.items())) for fid, stats in collector.flow_stats.items()},
     )
 
 

@@ -9,7 +9,7 @@ transmitted packets have a service start.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .qdisc import (
@@ -25,11 +25,17 @@ from .qdisc import (
 
 @dataclass(slots=True)
 class FlowStats:
-    """Delivered-bit totals for one flow over a measurement window."""
+    """One flow's record: full-run packet conservation counts, delivered
+    bits per one-second bin, and delivered-bit totals over the measurement
+    window."""
 
     flow_id: int
     bits_delivered: int = 0
     bits_retransmitted_delivered: int = 0
+    emitted: int = 0
+    delivered: int = 0
+    dropped: int = 0
+    bins: Counter[int] = field(default_factory=Counter)
 
 
 class QueueTracePoint(NamedTuple):
@@ -85,9 +91,9 @@ def draw_bound_table(discipline: Discipline | None, params: QdiscParams | None) 
 class MetricsCollector:
     """In-process observer fed synchronously by the event loop.
 
-    Tracks full-run packet conservation counts, windowed per-flow bits,
-    per-second delivery bins, queue residence, the periodic queue trace and
-    per-outcome decision counts with a draws histogram, for registered flows.
+    Keeps one FlowStats record per registered flow, queue residence, the
+    periodic queue trace and per-outcome decision counts with a draws
+    histogram.
     """
 
     def __init__(
@@ -101,11 +107,7 @@ class MetricsCollector:
         self.duration = duration
         # The draw bound is tabulated once per run, not recomputed per arrival.
         self.draw_bounds = draw_bound_table(discipline, params)
-        self.emitted: Counter[int] = Counter()
-        self.delivered: Counter[int] = Counter()
-        self.dropped: Counter[int] = Counter()
         self.flow_stats: dict[int, FlowStats] = {}
-        self.bins: dict[int, Counter[int]] = {}
         self.delay_sum = 0.0
         self.delay_count = 0
         self.queue_trace: list[QueueTracePoint] = []
@@ -128,10 +130,9 @@ class MetricsCollector:
 
     def register_flow(self, flow_id: int) -> None:
         self.flow_stats[flow_id] = FlowStats(flow_id)
-        self.bins[flow_id] = Counter()
 
     def on_emit(self, pk: Packet) -> None:
-        self.emitted[pk.flow_id] += 1
+        self.flow_stats[pk.flow_id].emitted += 1
 
     def on_arrival(
         self,
@@ -149,7 +150,7 @@ class MetricsCollector:
         if outcome is Outcome.ADMIT:
             self.admitted += 1
         else:
-            self.dropped[pk.flow_id] += 1 + len(decision.dropped_positions)
+            self.flow_stats[pk.flow_id].dropped += 1 + len(decision.dropped_positions)
             if outcome is Outcome.MATCH_DROP:
                 self.match_drops += 1
             else:
@@ -163,10 +164,10 @@ class MetricsCollector:
             self.delay_count += 1
 
     def on_delivery(self, pk: Packet, now: float) -> None:
-        self.delivered[pk.flow_id] += 1
-        self.bins[pk.flow_id][int(now)] += pk.size_bits
+        stats = self.flow_stats[pk.flow_id]
+        stats.delivered += 1
+        stats.bins[int(now)] += pk.size_bits
         if self.warmup <= now <= self.duration:
-            stats = self.flow_stats[pk.flow_id]
             stats.bits_delivered += pk.size_bits
             if pk.is_retransmission:
                 stats.bits_retransmitted_delivered += pk.size_bits

@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .qdisc import Discipline, QdiscParams
-from .transport import AppKind, TcpVariant
+from .transport import MAX_CWND, MIN_RTO, AppKind, TcpVariant
 
 
 class ScenarioError(Exception):
@@ -43,9 +43,10 @@ class ScenarioError(Exception):
 
 
 # Upper bounds on the inputs that size memory or work, far above every
-# preset (B = 500, 100 flows, 2,001 queue samples).
+# preset (B = 500, 100 flows, 2,001 queue samples, 2.6e5 packets).
 MAX_BUFFER_PKTS = 100_000
 MAX_FLOWS = 10_000
+MAX_PACKETS = 10**8
 MAX_QUEUE_SAMPLES = 100_000
 
 
@@ -141,6 +142,18 @@ class Scenario:
                 problems.append(f"{key}: must be positive")
         if self.sample_period_s > 0 and self.duration_s / self.sample_period_s > MAX_QUEUE_SAMPLES:
             problems.append(f"duration_s / sample_period_s: must be <= {MAX_QUEUE_SAMPLES} queue samples")
+        # Work budget: an upper estimate of the packets offered to the
+        # bottleneck. CBR sends at its rate; TCP sends new data only on ACKs,
+        # which the bottleneck clocks, at most two segments per ACK, plus at
+        # most a full window per timeout.
+        if self.packet_size_bits > 0:
+            offered_pps = (
+                self.n_udp * self.udp_rate_bps / self.packet_size_bits
+                + 2 * self.bottleneck_bps / self.packet_size_bits
+                + MAX_CWND * self.n_tcp / MIN_RTO
+            )
+            if self.duration_s * offered_pps > MAX_PACKETS:
+                problems.append(f"duration_s x offered packet rate: must be <= {MAX_PACKETS} packets")
         if self.http_page_mean_pkts < 1:
             problems.append(f"http_page_mean_pkts={self.http_page_mean_pkts}: must be >= 1")
         # Access delay may be zero: short-RTT flows set their one-way
@@ -357,9 +370,10 @@ def sweep_scenarios(preset: str, seed: int = 1, duration: float | None = None) -
     if preset not in SWEEPS:
         raise ScenarioError(f"unknown sweep preset {preset!r}; known: {sorted(SWEEP_PRESETS)}")
     default_duration, points = SWEEPS[preset]
+    duration_s = default_duration if duration is None else duration
     # deepcopy: no two scenarios share a flow_overrides dict.
     return [
-        (label, _sweep_point(f"{stem}-{d.value}", d, seed=seed, duration_s=duration or default_duration,
+        (label, _sweep_point(f"{stem}-{d.value}", d, seed=seed, duration_s=duration_s,
                              **copy.deepcopy(values)))
         for d in SWEEP_DISCIPLINES
         for label, stem, values in points

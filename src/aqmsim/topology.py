@@ -8,7 +8,7 @@ ever queued.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import qdisc
 from .engine import EventKind, EventLoop, Rng
@@ -40,27 +40,50 @@ def link_transmit(link: Link, pk: Packet, now: float) -> float:
     return link.busy_until + link.prop_delay
 
 
-class BottleneckRouter:
-    """Owns the qdisc and the bottleneck link's service loop.
+@dataclass
+class FlowSetup:
+    """Resolved per-flow wiring parameters."""
+
+    flow_id: int
+    kind: str  # "tcp" | "udp"
+    variant: TcpVariant
+    app: AppKind
+    access_bps: float
+    access_delay_s: float
+    start_s: float = 0.0
+
+
+class Dumbbell:
+    """Built topology: sources and sinks around one bottleneck, whose qdisc
+    and link service loop it owns.
 
     The packet in service has left the buffer; a new service starts
     whenever the link goes idle and the buffer is non-empty.
     """
 
-    def __init__(
-        self,
-        state: QdiscState,
-        link: Link,
-        loop: EventLoop,
-        rng: Rng,
-        observer,
-    ) -> None:
-        self.state = state
-        self.link = link
+    def __init__(self, scenario, loop: EventLoop, rng: Rng, observer) -> None:
         self.loop = loop
         self.rng = rng
         self.observer = observer
+        self.state = QdiscState(params=scenario.qdisc_params(), discipline=scenario.discipline)
+        self.link = Link(scenario.bottleneck_bps, scenario.bottleneck_delay_s)
         self.in_service: Packet | None = None
+        self.sources: dict[int, TcpSource | CbrSource] = {}
+        self.sinks: dict[int, TcpSink | UdpSink] = {}
+        self.reverse_delay: dict[int, float] = {}
+        self.flow_kinds: dict[int, str] = {}
+        # The queue is sampled at k * sample_period_s for k = 0..n_samples-1.
+        # One sample event is pending at a time: each schedules the next, at
+        # an exact product of k and the period rather than a running sum.
+        self.sample_period_s = scenario.sample_period_s
+        self.n_samples = int(scenario.duration_s / scenario.sample_period_s) + 1
+        loop.on(EventKind.SOURCE_EMIT, self._on_source_emit)
+        loop.on(EventKind.PACKET_ARRIVAL_AT_QUEUE, self.on_packet_arrival)
+        loop.on(EventKind.TRANSMISSION_COMPLETE, self.on_transmission_complete)
+        loop.on(EventKind.PROPAGATION_DELIVERY, self._on_delivery)
+        loop.on(EventKind.ACK_DELIVERY, self._on_ack_delivery)
+        loop.on(EventKind.TIMER_EXPIRY, self._on_rto)
+        loop.on(EventKind.QUEUE_SAMPLE, self._on_queue_sample)
 
     def on_packet_arrival(self, now: float, pk: Packet) -> None:
         q_c_before = len(self.state.buffer)
@@ -86,55 +109,6 @@ class BottleneckRouter:
         if self.state.buffer:
             self._start_service(now)
 
-
-@dataclass
-class FlowSetup:
-    """Resolved per-flow wiring parameters."""
-
-    flow_id: int
-    kind: str  # "tcp" | "udp"
-    variant: TcpVariant
-    app: AppKind
-    access_bps: float
-    access_delay_s: float
-    start_s: float = 0.0
-
-
-@dataclass
-class Dumbbell:
-    """Built topology: sources and sinks around one bottleneck router."""
-
-    loop: EventLoop
-    router: BottleneckRouter
-    sources: dict[int, TcpSource | CbrSource] = field(default_factory=dict)
-    sinks: dict[int, TcpSink | UdpSink] = field(default_factory=dict)
-    access_links: dict[int, Link] = field(default_factory=dict)
-    reverse_delay: dict[int, float] = field(default_factory=dict)
-    flow_kinds: dict[int, str] = field(default_factory=dict)
-    observer: object = None
-    sample_period_s: float = 0.0
-    n_samples: int = 0
-
-    def _register_handlers(self) -> None:
-        self.loop.on(EventKind.SOURCE_EMIT, self._on_source_emit)
-        self.loop.on(EventKind.PACKET_ARRIVAL_AT_QUEUE, self.router.on_packet_arrival)
-        self.loop.on(EventKind.TRANSMISSION_COMPLETE, self.router.on_transmission_complete)
-        self.loop.on(EventKind.PROPAGATION_DELIVERY, self._on_delivery)
-        self.loop.on(EventKind.ACK_DELIVERY, self._on_ack_delivery)
-        self.loop.on(EventKind.TIMER_EXPIRY, self._on_rto)
-        self.loop.on(EventKind.QUEUE_SAMPLE, self._on_queue_sample)
-
-    def start_queue_sampler(self, period_s: float, n_samples: int) -> None:
-        """Sample the queue at k * period_s for k = 0..n_samples-1.
-
-        One sample event is pending at a time: each schedules the next, at
-        an exact product of k and the period rather than a running sum.
-        """
-        self.sample_period_s = period_s
-        self.n_samples = n_samples
-        if n_samples > 0:
-            self.loop.schedule(0.0, EventKind.QUEUE_SAMPLE, 0)
-
     def _on_source_emit(self, now: float, flow_id: int) -> None:
         self.sources[flow_id].on_source_emit(now)
 
@@ -158,7 +132,7 @@ class Dumbbell:
         self.sources[flow_id].on_timer(token, now)
 
     def _on_queue_sample(self, now: float, k: int) -> None:
-        self.observer.sample_queue(now, len(self.router.state.buffer), self.router.state.q_a)
+        self.observer.sample_queue(now, len(self.state.buffer), self.state.q_a)
         k += 1
         if k < self.n_samples:
             self.loop.schedule(k * self.sample_period_s, EventKind.QUEUE_SAMPLE, k)
@@ -167,7 +141,7 @@ class Dumbbell:
         """Per-flow count of data packets still inside the network:
         queued, in service, or riding a pending link event."""
         residual: dict[int, int] = {fid: 0 for fid in self.sources}
-        for pk in self.router.state.buffer:
+        for pk in self.state.buffer:
             residual[pk.flow_id] += 1
         # The in-service packet rides its pending TRANSMISSION_COMPLETE
         # event, so it is not counted separately.
@@ -203,18 +177,13 @@ def build_flow_setups(scenario) -> list[FlowSetup]:
 
 
 def build_dumbbell(scenario, loop: EventLoop, rng: Rng, observer) -> Dumbbell:
-    """Construct sources, access links, the bottleneck and sinks, wire all
-    event handlers, and schedule every flow's first emission."""
-    state = QdiscState(params=scenario.qdisc_params(), discipline=scenario.discipline)
-    bottleneck = Link(scenario.bottleneck_bps, scenario.bottleneck_delay_s)
-    router = BottleneckRouter(state, bottleneck, loop, rng, observer)
-    dumbbell = Dumbbell(loop=loop, router=router, observer=observer)
-    dumbbell._register_handlers()
+    """Build the Dumbbell, then each flow's source, access link and sink;
+    schedule every flow's first emission, then the first queue sample."""
+    dumbbell = Dumbbell(scenario, loop, rng, observer)
 
     for setup in build_flow_setups(scenario):
         flow_id = setup.flow_id
         access = Link(setup.access_bps, setup.access_delay_s)
-        dumbbell.access_links[flow_id] = access
         dumbbell.flow_kinds[flow_id] = setup.kind
         dumbbell.reverse_delay[flow_id] = (
             setup.access_delay_s
@@ -230,17 +199,18 @@ def build_dumbbell(scenario, loop: EventLoop, rng: Rng, observer) -> Dumbbell:
                 pk,
             )
 
+        def emit_at(t: float, _fid=flow_id) -> None:
+            loop.schedule(t, EventKind.SOURCE_EMIT, _fid)
+
         if setup.kind == "udp":
             source = CbrSource(
                 flow_id,
                 rate_bps=scenario.udp_rate_bps,
                 packet_size_bits=scenario.packet_size_bits,
                 transmit=transmit,
-                schedule_emit_at=lambda t, _fid=flow_id: loop.schedule(
-                    t, EventKind.SOURCE_EMIT, _fid
-                ),
+                schedule_emit_at=emit_at,
             )
-            dumbbell.sinks[flow_id] = UdpSink(flow_id)
+            dumbbell.sinks[flow_id] = UdpSink()
             start = setup.start_s
         else:
             source = TcpSource(
@@ -252,17 +222,16 @@ def build_dumbbell(scenario, loop: EventLoop, rng: Rng, observer) -> Dumbbell:
                 arm_timer=lambda deadline, token, _fid=flow_id: loop.schedule(
                     deadline, EventKind.TIMER_EXPIRY, (_fid, token)
                 ),
-                schedule_emit=lambda delay, _fid=flow_id: loop.schedule(
-                    loop.now + delay, EventKind.SOURCE_EMIT, _fid
-                ),
+                schedule_emit_at=emit_at,
                 rng=rng,
                 http_page_mean_pkts=scenario.http_page_mean_pkts,
                 http_think_mean_s=scenario.http_think_mean_s,
             )
-            dumbbell.sinks[flow_id] = TcpSink(flow_id)
+            dumbbell.sinks[flow_id] = TcpSink()
             # Stagger TCP starts so flows do not move in lockstep.
             start = setup.start_s + rng.random() * scenario.tcp_start_spread_s
         dumbbell.sources[flow_id] = source
-        loop.schedule(start, EventKind.SOURCE_EMIT, flow_id)
+        emit_at(start)
 
+    loop.schedule(0.0, EventKind.QUEUE_SAMPLE, 0)
     return dumbbell

@@ -52,8 +52,8 @@ class TcpSource:
 
     Network access is injected: `transmit(pk)` hands a packet to the access
     link, `arm_timer(deadline, token)` schedules an RTO check, and
-    `schedule_emit(delay)` wakes the source up again after an HTTP think
-    pause. Stale timers are ignored by token comparison.
+    `schedule_emit_at(t)` wakes the source up again at the end of an HTTP
+    think pause. Stale timers are ignored by token comparison.
     """
 
     def __init__(
@@ -65,7 +65,7 @@ class TcpSource:
         packet_size_bits: int = 8000,
         transmit: Callable[[Packet], None],
         arm_timer: Callable[[float, int], None],
-        schedule_emit: Callable[[float], None],
+        schedule_emit_at: Callable[[float], None],
         rng: Rng,
         http_page_mean_pkts: float = 12.0,
         http_think_mean_s: float = 1.0,
@@ -76,7 +76,7 @@ class TcpSource:
         self.packet_size_bits = packet_size_bits
         self._transmit = transmit
         self._arm_timer = arm_timer
-        self._schedule_emit = schedule_emit
+        self._schedule_emit_at = schedule_emit_at
         self._rng = rng
         self.http_page_mean_pkts = http_page_mean_pkts
         self.http_think_mean_s = http_think_mean_s
@@ -98,7 +98,6 @@ class TcpSource:
         self._vegas_epoch_seq = 0
         self._transfer_remaining: int | None = None  # None = backlogged (FTP)
         self._thinking = False
-        self.started = False
 
     # -- application ------------------------------------------------------
 
@@ -108,20 +107,16 @@ class TcpSource:
         return self._transfer_remaining > 0
 
     def on_source_emit(self, now: float) -> None:
-        """Start of the flow, or end of an HTTP think pause."""
-        if not self.started:
-            self.started = True
-            if self.app_kind is AppKind.HTTP:
-                self._transfer_remaining = self._rng.geometric(self.http_page_mean_pkts)
-            self._pump(now)
-            return
+        """Start of the flow, or end of an HTTP think pause, which restarts
+        from a one-packet window. An HTTP source draws a page at each."""
         if self._thinking:
             self._thinking = False
             self.cwnd = INITIAL_CWND
             self.phase = TcpPhase.SLOW_START
             self.dup_ack_count = 0
+        if self.app_kind is AppKind.HTTP:
             self._transfer_remaining = self._rng.geometric(self.http_page_mean_pkts)
-            self._pump(now)
+        self._pump(now)
 
     def _maybe_finish_transfer(self, now: float) -> None:
         if (
@@ -131,7 +126,7 @@ class TcpSource:
         ):
             self._thinking = True
             self._stop_timer()
-            self._schedule_emit(self._rng.exponential(self.http_think_mean_s))
+            self._schedule_emit_at(now + self._rng.exponential(self.http_think_mean_s))
 
     # -- sending ----------------------------------------------------------
 
@@ -141,14 +136,18 @@ class TcpSource:
             Packet(self.flow_id, seq, self.packet_size_bits, is_retransmission=retransmission)
         )
 
+    def _send_new(self, now: float) -> None:
+        """Send the next unsent segment of the transfer."""
+        seq = self.next_seq
+        self.next_seq += 1
+        if self._transfer_remaining is not None:
+            self._transfer_remaining -= 1
+        self._send(seq, now, retransmission=False)
+
     def _pump(self, now: float) -> None:
         sent = False
         while len(self.flight) < int(min(self.cwnd, MAX_CWND)) and self._has_data():
-            seq = self.next_seq
-            self.next_seq += 1
-            if self._transfer_remaining is not None:
-                self._transfer_remaining -= 1
-            self._send(seq, now, retransmission=False)
+            self._send_new(now)
             sent = True
         if sent:
             self._ensure_timer(now)
@@ -199,7 +198,7 @@ class TcpSource:
         else:
             self.on_dup_ack(now)
 
-    def _on_new_ack(self, ack_seq: int, now: float, trigger_was_retx: bool = True) -> None:
+    def _on_new_ack(self, ack_seq: int, now: float, trigger_was_retx: bool) -> None:
         rtt_sample = None
         entry = self.flight.get(ack_seq)
         if entry is not None and not entry[1]:  # Karn: skip retransmitted seqs
@@ -266,11 +265,7 @@ class TcpSource:
             # ACK clock alive at small windows, where a single loss would
             # otherwise only be repaired by a full RTO stall.
             if self._has_data():
-                seq = self.next_seq
-                self.next_seq += 1
-                if self._transfer_remaining is not None:
-                    self._transfer_remaining -= 1
-                self._send(seq, now, retransmission=False)
+                self._send_new(now)
                 self._ensure_timer(now)
             return
         if self.dup_ack_count == 3:
@@ -343,8 +338,7 @@ class TcpSink:
     highest in-order sequence received so far plus the retransmission flag
     of the packet that triggered it."""
 
-    def __init__(self, flow_id: int) -> None:
-        self.flow_id = flow_id
+    def __init__(self) -> None:
         self.expected = 0
         self._out_of_order: set[int] = set()
 
@@ -361,9 +355,6 @@ class TcpSink:
 
 class UdpSink:
     """Absorbs delivered packets; emits nothing."""
-
-    def __init__(self, flow_id: int) -> None:
-        self.flow_id = flow_id
 
     def on_packet(self, pk: Packet) -> None:
         return None

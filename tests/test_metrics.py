@@ -184,6 +184,7 @@ class TestDrawBound:
     def test_draws_beyond_bound_counted_as_violation(self):
         params = QdiscParams()
         collector = MetricsCollector(0.0, 1.0, Discipline.CHOKED, params)
+        collector.register_flow(1)
         q_c = 60
         bound = sum(drawing_split(drawing_factor(q_c, params)))
         at_bound = EnqueueDecision(Outcome.ADMIT, draws_performed=bound)
@@ -193,5 +194,5 @@ class TestDrawBound:
         collector.on_arrival(0.6, Packet(1, 1), beyond, q_c, 50.0)
         assert collector.draw_bound_violations == 1
         assert collector.outcome_counts == {Outcome.ADMIT: 1, Outcome.MATCH_DROP: 1}
-        assert collector.dropped[1] == 2
+        assert collector.flow_stats[1].dropped == 2
         assert collector.draws_histogram == {bound: 1, bound + 1: 1}

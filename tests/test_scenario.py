@@ -7,6 +7,7 @@ from aqmsim.qdisc import Discipline
 from aqmsim.scenario import (
     MAX_BUFFER_PKTS,
     MAX_FLOWS,
+    MAX_PACKETS,
     MAX_QUEUE_SAMPLES,
     MODEL2_POINTS,
     PRESETS,
@@ -225,6 +226,14 @@ class TestValidation:
         "flow-starts-at-duration": ({"flow_overrides": {2: {"start_s": 100.0}}}, "start_s"),
         "override-unknown-flow": ({"flow_overrides": {99: {"start_s": 1.0}}}, "flow.99"),
         "override-unknown-field": ({"flow_overrides": {1: {"bogus": 1.0}}}, "bogus"),
+        # 3.75e11 packets: 10,000 Mb/s everywhere for 100,000 s.
+        "work-budget-fast-links": (
+            {"duration_s": 100_000.0, "sample_period_s": 1000.0, "bottleneck_bps": 1e10, "access_bps": 1e10,
+             "udp_rate_bps": 1e10},
+            "packets",
+        ),
+        # 4e8 packets: 1-bit packets at the default rates.
+        "work-budget-one-bit-packets": ({"packet_size_bits": 1}, "packets"),
     }
 
     @pytest.mark.parametrize("values, named", RULES.values(), ids=RULES.keys())
@@ -241,8 +250,10 @@ class TestValidation:
             {"udp_rate_bps": 10e6},
             {"flow_overrides": {1: {"access_bps": 2e6}, 2: {"start_s": 99.9}}},
             {"http_page_mean_pkts": 1.0},
+            # (138 + 2 * 125 + 64 * 33) packets/s for 40,000 s = MAX_PACKETS.
+            {"udp_rate_bps": 1.104e6, "duration_s": MAX_PACKETS / 2500, "sample_period_s": 0.4},
         ],
-        ids=["flows", "buffer", "queue-samples", "udp-rate", "flow-overrides", "http-page-mean"],
+        ids=["flows", "buffer", "queue-samples", "udp-rate", "flow-overrides", "http-page-mean", "work-budget"],
     )
     def test_bound_itself_accepted(self, values):
         replace(load_preset("model1-choked"), **values).validate()
@@ -284,6 +295,10 @@ class TestPresets:
         rows = sweep_scenarios("buffer-sweep", seed=1)
         assert len(rows) == 12  # 3 sizes x 4 disciplines
         assert {s.buffer_pkts for _, s in rows} == {100, 300, 500}
+
+    def test_sweep_zero_duration_rejected(self):
+        with pytest.raises(ScenarioError, match="duration_s"):
+            sweep_scenarios("rtt-mix", seed=1, duration=0.0)
 
     def test_rtt_mix_is_200_seconds(self):
         rows = sweep_scenarios("rtt-mix", seed=1)

@@ -1,13 +1,14 @@
 import math
+from collections import Counter
 
 import pytest
 
-from aqmsim.engine import EventLoop, Rng
+from aqmsim.engine import EventKind, EventLoop, Rng
 from aqmsim.metrics import MetricsCollector
 from aqmsim.qdisc import Discipline, Packet
 from aqmsim.scenario import Scenario, sweep_scenarios
 from aqmsim.topology import Link, build_dumbbell, build_flow_setups, link_transmit
-from aqmsim.transport import AppKind, TcpVariant
+from aqmsim.transport import ACK_SIZE_BITS, AppKind, TcpVariant
 
 
 class TestLinkTransmit:
@@ -68,15 +69,23 @@ class TestBuildDumbbell:
         scenario = Scenario(discipline=Discipline.CHOKED, n_tcp=33, n_udp=1)
         loop, collector, dumbbell = build(scenario)
         assert len(dumbbell.sources) == 34
-        assert dumbbell.router.state.params.capacity == 100
+        assert dumbbell.state.params.capacity == 100
         assert dumbbell.flow_kinds[1] == "udp"
         assert dumbbell.flow_kinds[34] == "tcp"
+
+    def test_build_leaves_first_emissions_and_first_queue_sample_pending(self):
+        scenario = Scenario(discipline=Discipline.CHOKED, n_tcp=33, n_udp=1)
+        loop, collector, dumbbell = build(scenario)
+        pending = Counter(event.kind for event in loop.pending_events())
+        assert pending == {EventKind.SOURCE_EMIT: 34, EventKind.QUEUE_SAMPLE: 1}
 
     def test_rtt_mix_overrides_applied(self):
         scenario = [s for _, s in sweep_scenarios("rtt-mix", seed=1)][0]
         loop, collector, dumbbell = build(scenario)
+        # The reverse path is the access delay plus the bottleneck delay
+        # plus the ACK's serialization on the access link.
         tcp_delays = [
-            dumbbell.access_links[f].prop_delay
+            dumbbell.reverse_delay[f] - scenario.bottleneck_delay_s - ACK_SIZE_BITS / scenario.access_bps
             for f, kind in dumbbell.flow_kinds.items()
             if kind == "tcp"
         ]
@@ -153,11 +162,14 @@ class TestForwardPath:
         scenario, collector, dumbbell, _ = self.run_small(Discipline.CHOKED, duration=20.0)
         residual = dumbbell.residual_packets()
         for flow_id in dumbbell.sources:
-            assert collector.emitted[flow_id] == (
-                collector.delivered[flow_id]
-                + collector.dropped[flow_id]
-                + residual[flow_id]
-            )
+            stats = collector.flow_stats[flow_id]
+            assert stats.emitted == stats.delivered + stats.dropped + residual[flow_id]
+
+    def test_bins_hold_every_delivered_bit(self):
+        scenario, collector, dumbbell, _ = self.run_small(Discipline.CHOKED, duration=10.0)
+        for stats in collector.flow_stats.values():
+            assert stats.delivered > 0
+            assert sum(stats.bins.values()) == stats.delivered * scenario.packet_size_bits
 
     def test_cbr_emissions_form_arithmetic_sequence(self):
         scenario = Scenario(

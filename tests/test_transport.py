@@ -14,7 +14,7 @@ from aqmsim.transport import (
 
 
 class Harness:
-    """Collects a source's outgoing packets and timer requests."""
+    """Collects a source's outgoing packets, timer requests and wake-up times."""
 
     def __init__(self):
         self.sent: list[Packet] = []
@@ -27,8 +27,8 @@ class Harness:
     def arm_timer(self, deadline, token):
         self.timers.append((deadline, token))
 
-    def schedule_emit(self, delay):
-        self.emits.append(delay)
+    def schedule_emit_at(self, t):
+        self.emits.append(t)
 
 
 def make_source(variant=TcpVariant.RENO, app=AppKind.FTP, seed=1, **kwargs):
@@ -39,7 +39,7 @@ def make_source(variant=TcpVariant.RENO, app=AppKind.FTP, seed=1, **kwargs):
         app_kind=app,
         transmit=h.transmit,
         arm_timer=h.arm_timer,
-        schedule_emit=h.schedule_emit,
+        schedule_emit_at=h.schedule_emit_at,
         rng=Rng(seed),
         **kwargs,
     )
@@ -258,24 +258,24 @@ class TestCbr:
 
 class TestSinks:
     def test_in_order_acks(self):
-        sink = TcpSink(1)
+        sink = TcpSink()
         acks = [sink.on_packet(Packet(1, s)) for s in (0, 1, 2)]
         assert [a for a, _ in acks] == [0, 1, 2]
 
     def test_gap_produces_duplicate_acks(self):
-        sink = TcpSink(1)
+        sink = TcpSink()
         acks = [sink.on_packet(Packet(1, s))[0] for s in (0, 2, 3)]
         assert acks == [0, 0, 0]
         # filling the hole acknowledges the buffered packets cumulatively
         assert sink.on_packet(Packet(1, 1))[0] == 3
 
     def test_ack_echoes_trigger_retransmission_flag(self):
-        sink = TcpSink(1)
+        sink = TcpSink()
         assert sink.on_packet(Packet(1, 0))[1] is False
         assert sink.on_packet(Packet(1, 1, is_retransmission=True))[1] is True
 
     def test_udp_sink_stays_silent(self):
-        sink = UdpSink(1)
+        sink = UdpSink()
         for s in range(250):
             assert sink.on_packet(Packet(1, s, size_bits=8000)) is None
 
@@ -295,9 +295,10 @@ class TestHttpApp:
         assert src._thinking
         assert len(h.sent) == page
         assert all(not p.is_retransmission for p in h.sent)
-        assert len(h.emits) == 1 and h.emits[0] > 0
+        # the pause starts at the last ACK, which arrived at `now`
+        assert len(h.emits) == 1 and h.emits[0] > now
         # wake-up starts the next page with a fresh one-packet window
-        src.on_source_emit(now + h.emits[0])
+        src.on_source_emit(h.emits[0])
         assert src.cwnd == 1.0
         assert src.phase is TcpPhase.SLOW_START
         assert len(h.sent) == page + 1

@@ -104,6 +104,8 @@ def main(argv: list[str] | None = None) -> int:
     p_list.set_defaults(func=_cmd_list_presets)
 
     args = parser.parse_args(argv)
+    if args.command == "sweep" and args.workers is not None and args.workers < 1:
+        p_sweep.error(f"argument --workers: must be >= 1, got {args.workers}")
     try:
         return args.func(args)
     except (ScenarioError, OSError) as exc:

@@ -71,26 +71,21 @@ def run_experiment(scenario: Scenario) -> RunReport:
         params=scenario.qdisc_params(),
     )
     dumbbell = build_dumbbell(scenario, loop, rng, collector)
-    for flow_id in dumbbell.sources:
-        collector.register_flow(flow_id)
 
     loop.run_until(scenario.duration_s)
 
     window = (scenario.warmup_s, scenario.duration_s)
     flows: list[FlowReport] = []
     tcp_throughput = tcp_goodput = udp_throughput = 0.0
-    for flow_id in sorted(dumbbell.sources):
-        kind = dumbbell.flow_kinds[flow_id]
-        stats = collector.flow_stats[flow_id]
+    for flow_id, stats in sorted(collector.flow_stats.items()):
         rate = metrics_mod.throughput(stats, window)
-        if kind == "tcp":
-            good = metrics_mod.goodput_tcp(stats, window)
+        good = metrics_mod.goodput(stats, window)
+        if stats.kind == "tcp":
             tcp_throughput += rate
             tcp_goodput += good
         else:
-            good = rate  # UDP never retransmits
             udp_throughput += rate
-        flows.append(FlowReport(flow_id, kind, rate, good))
+        flows.append(FlowReport(flow_id, stats.kind, rate, good))
 
     shares = [flow.throughput_bps for flow in flows]
     fairness = metrics_mod.jain_index(shares) if any(shares) else 0.0
@@ -137,7 +132,9 @@ def run_sweep(
     pairs = sweep_scenarios(preset, seed=seed, duration=duration)
     scenarios = [scenario for _, scenario in pairs]
     if workers is None:
-        workers = min(os.cpu_count() or 1, len(scenarios))
+        workers = os.cpu_count() or 1
+    # A process pool forks all its workers at once; more than runs would idle.
+    workers = min(workers, len(scenarios))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(run_experiment, scenarios))

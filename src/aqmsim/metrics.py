@@ -30,6 +30,7 @@ class FlowStats:
     window."""
 
     flow_id: int
+    kind: str  # "tcp" | "udp"
     bits_delivered: int = 0
     bits_retransmitted_delivered: int = 0
     emitted: int = 0
@@ -56,8 +57,9 @@ def throughput(stats: FlowStats, window: tuple[float, float]) -> float:
     return stats.bits_delivered / _window_s(window)
 
 
-def goodput_tcp(stats: FlowStats, window: tuple[float, float]) -> float:
-    """Delivered bits net of delivered retransmissions, per second."""
+def goodput(stats: FlowStats, window: tuple[float, float]) -> float:
+    """Delivered bits net of delivered retransmissions, per second. A UDP
+    flow never retransmits, so its goodput is its throughput."""
     return (stats.bits_delivered - stats.bits_retransmitted_delivered) / _window_s(window)
 
 
@@ -91,9 +93,9 @@ def draw_bound_table(discipline: Discipline | None, params: QdiscParams | None) 
 class MetricsCollector:
     """In-process observer fed synchronously by the event loop.
 
-    Keeps one FlowStats record per registered flow, queue residence, the
-    periodic queue trace and per-outcome decision counts with a draws
-    histogram.
+    Keeps one FlowStats record per flow announced by `on_flow`, queue
+    residence, the periodic queue trace and per-outcome decision counts
+    with a draws histogram.
     """
 
     def __init__(
@@ -128,8 +130,8 @@ class MetricsCollector:
             }
         )
 
-    def register_flow(self, flow_id: int) -> None:
-        self.flow_stats[flow_id] = FlowStats(flow_id)
+    def on_flow(self, flow_id: int, kind: str) -> None:
+        self.flow_stats[flow_id] = FlowStats(flow_id, kind)
 
     def on_emit(self, pk: Packet) -> None:
         self.flow_stats[pk.flow_id].emitted += 1

@@ -18,9 +18,10 @@ Sections and keys:
                 http_page_mean_pkts, http_think_mean_s
     [links]     bottleneck_mbps, bottleneck_delay_ms,
                 access_mbps, access_delay_ms, packet_size_bits
-    [flow.N]    variant, app, access_mbps, access_delay_ms, start_s
+    [flow.N]    variant, app (TCP flows only), access_mbps, access_delay_ms, start_s
 
-Flow ids number UDP flows first (1..n_udp), then TCP flows. Only
+Flow ids number UDP flows first (1..n_udp), then TCP flows;
+`Scenario.flows` resolves each flow with its overrides applied. Only
 [qdisc] discipline, [traffic] n_tcp and n_udp are required; every other
 key has a default. Unknown sections or keys, and a key set twice, are
 rejected with their line number. `Scenario.validate` is the one place
@@ -48,6 +49,20 @@ MAX_BUFFER_PKTS = 100_000
 MAX_FLOWS = 10_000
 MAX_PACKETS = 10**8
 MAX_QUEUE_SAMPLES = 100_000
+
+
+@dataclass
+class FlowSetup:
+    """One flow's resolved parameters: the scenario's defaults with its
+    [flow.N] overrides applied."""
+
+    flow_id: int
+    kind: str  # "tcp" | "udp"
+    variant: TcpVariant
+    app: AppKind
+    access_bps: float
+    access_delay_s: float
+    start_s: float
 
 
 @dataclass
@@ -86,6 +101,22 @@ class Scenario:
     def fair_share_bps(self) -> float:
         return self.bottleneck_bps / self.n_flows
 
+    def flows(self) -> list[FlowSetup]:
+        """One FlowSetup per flow, overrides applied. Flow ids number UDP
+        flows first (1..n_udp), then TCP."""
+        defaults = {
+            "variant": self.tcp_variant,
+            "app": self.app,
+            "access_bps": self.access_bps,
+            "access_delay_s": self.access_delay_s,
+            "start_s": 0.0,
+        }
+        return [
+            FlowSetup(flow_id, "udp" if flow_id <= self.n_udp else "tcp",
+                      **(defaults | self.flow_overrides.get(flow_id, {})))
+            for flow_id in range(1, self.n_flows + 1)
+        ]
+
     def qdisc_params(self) -> QdiscParams:
         return QdiscParams(
             capacity=self.buffer_pkts,
@@ -109,7 +140,8 @@ class Scenario:
         for key, value in values:
             if isinstance(value, float) and not math.isfinite(value):
                 problems.append(f"{key}={value}: must be finite")
-        if self.n_tcp < 0 or self.n_udp < 0 or not 1 <= self.n_flows <= MAX_FLOWS:
+        resolvable = self.n_tcp >= 0 and self.n_udp >= 0 and 1 <= self.n_flows <= MAX_FLOWS
+        if not resolvable:
             problems.append(f"n_tcp={self.n_tcp}, n_udp={self.n_udp}: need 1 to {MAX_FLOWS} flows")
         if self.buffer_pkts > MAX_BUFFER_PKTS:
             problems.append(f"buffer_pkts={self.buffer_pkts}: must be <= {MAX_BUFFER_PKTS}")
@@ -165,19 +197,26 @@ class Scenario:
         for flow_id, fields_ in self.flow_overrides.items():
             if not 1 <= flow_id <= self.n_flows:
                 problems.append(f"[flow.{flow_id}]: no such flow (1..{self.n_flows})")
+                resolvable = False
             for name, value in fields_.items():
                 if name not in _FLOW_ATTRS:
                     problems.append(f"[flow.{flow_id}] {name}: unknown override")
+                    resolvable = False
                 elif name == "access_bps" and value <= 0:
                     problems.append(f"[flow.{flow_id}] access_mbps: must be positive")
                 elif name in ("access_delay_s", "start_s") and value < 0:
                     problems.append(f"[flow.{flow_id}] {name}: must be >= 0")
                 elif name == "start_s" and value >= self.duration_s:
                     problems.append(f"[flow.{flow_id}] start_s={value}: must be < duration_s={self.duration_s}")
-        # A CBR source faster than its access link queues there without bound.
-        udp_ids = range(1, min(self.n_udp, MAX_FLOWS) + 1)
-        if any(self.udp_rate_bps > self.flow_overrides.get(i, {}).get("access_bps", self.access_bps) for i in udp_ids):
-            problems.append("udp_rate_mbps: must not exceed any UDP flow's access_mbps")
+        if resolvable:
+            udp_flows = [flow for flow in self.flows() if flow.kind == "udp"]
+            for flow in udp_flows:
+                for name in self.flow_overrides.get(flow.flow_id, {}):
+                    if name in ("variant", "app"):
+                        problems.append(f"[flow.{flow.flow_id}] {name}: TCP flows only; flow {flow.flow_id} is UDP")
+            # A CBR source faster than its access link queues there without bound.
+            if any(self.udp_rate_bps > flow.access_bps for flow in udp_flows):
+                problems.append("udp_rate_mbps: must not exceed any UDP flow's access_mbps")
         if problems:
             raise ScenarioError("; ".join(problems))
 

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from . import qdisc
 from .engine import EventKind, EventLoop, Rng
 from .qdisc import Packet, QdiscState
-from .transport import (
-    ACK_SIZE_BITS,
-    AppKind,
-    CbrSource,
-    TcpSink,
-    TcpSource,
-    TcpVariant,
-    UdpSink,
-)
+from .transport import ACK_SIZE_BITS, CbrSource, TcpSink, TcpSource, UdpSink
 
 
 @dataclass(slots=True)
@@ -40,22 +32,9 @@ def link_transmit(link: Link, pk: Packet, now: float) -> float:
     return link.busy_until + link.prop_delay
 
 
-@dataclass
-class FlowSetup:
-    """Resolved per-flow wiring parameters."""
-
-    flow_id: int
-    kind: str  # "tcp" | "udp"
-    variant: TcpVariant
-    app: AppKind
-    access_bps: float
-    access_delay_s: float
-    start_s: float = 0.0
-
-
 class Dumbbell:
-    """Built topology: sources and sinks around one bottleneck, whose qdisc
-    and link service loop it owns.
+    """Built topology: each flow's source and sink around one bottleneck,
+    whose qdisc and link service loop it owns.
 
     The packet in service has left the buffer; a new service starts
     whenever the link goes idle and the buffer is non-empty.
@@ -69,9 +48,8 @@ class Dumbbell:
         self.link = Link(scenario.bottleneck_bps, scenario.bottleneck_delay_s)
         self.in_service: Packet | None = None
         self.sources: dict[int, TcpSource | CbrSource] = {}
-        self.sinks: dict[int, TcpSink | UdpSink] = {}
-        self.reverse_delay: dict[int, float] = {}
-        self.flow_kinds: dict[int, str] = {}
+        # flow id -> (its sink, the fixed delay of its ACKs' reverse path)
+        self.ack_paths: dict[int, tuple[TcpSink | UdpSink, float]] = {}
         # The queue is sampled at k * sample_period_s for k = 0..n_samples-1.
         # One sample event is pending at a time: each schedules the next, at
         # an exact product of k and the period rather than a running sum.
@@ -114,11 +92,12 @@ class Dumbbell:
 
     def _on_delivery(self, now: float, pk: Packet) -> None:
         self.observer.on_delivery(pk, now)
-        ack = self.sinks[pk.flow_id].on_packet(pk)
+        sink, ack_delay = self.ack_paths[pk.flow_id]
+        ack = sink.on_packet(pk)
         if ack is not None:
             ack_seq, trigger_was_retx = ack
             self.loop.schedule(
-                now + self.reverse_delay[pk.flow_id],
+                now + ack_delay,
                 EventKind.ACK_DELIVERY,
                 (pk.flow_id, ack_seq, trigger_was_retx),
             )
@@ -156,40 +135,17 @@ class Dumbbell:
         return residual
 
 
-def build_flow_setups(scenario) -> list[FlowSetup]:
-    """One setup per flow of a validated scenario, overrides applied.
-    Flow numbering: UDP flows first (1..n_udp), then TCP."""
-    setups = [
-        FlowSetup(
-            flow_id,
-            "udp" if flow_id <= scenario.n_udp else "tcp",
-            scenario.tcp_variant,
-            scenario.app,
-            scenario.access_bps,
-            scenario.access_delay_s,
-        )
-        for flow_id in range(1, scenario.n_flows + 1)
-    ]
-    for flow_id, fields_ in scenario.flow_overrides.items():
-        for name, value in fields_.items():
-            setattr(setups[flow_id - 1], name, value)
-    return setups
-
-
 def build_dumbbell(scenario, loop: EventLoop, rng: Rng, observer) -> Dumbbell:
-    """Build the Dumbbell, then each flow's source, access link and sink;
-    schedule every flow's first emission, then the first queue sample."""
+    """Build the Dumbbell, then announce each flow to the observer and wire
+    its source, access link and sink; schedule every flow's first emission,
+    then the first queue sample."""
     dumbbell = Dumbbell(scenario, loop, rng, observer)
 
-    for setup in build_flow_setups(scenario):
+    for setup in scenario.flows():
         flow_id = setup.flow_id
+        observer.on_flow(flow_id, setup.kind)
         access = Link(setup.access_bps, setup.access_delay_s)
-        dumbbell.flow_kinds[flow_id] = setup.kind
-        dumbbell.reverse_delay[flow_id] = (
-            setup.access_delay_s
-            + scenario.bottleneck_delay_s
-            + ACK_SIZE_BITS / setup.access_bps
-        )
+        ack_delay = setup.access_delay_s + scenario.bottleneck_delay_s + ACK_SIZE_BITS / setup.access_bps
 
         def transmit(pk: Packet, _access=access) -> None:
             observer.on_emit(pk)
@@ -210,7 +166,7 @@ def build_dumbbell(scenario, loop: EventLoop, rng: Rng, observer) -> Dumbbell:
                 transmit=transmit,
                 schedule_emit_at=emit_at,
             )
-            dumbbell.sinks[flow_id] = UdpSink()
+            sink = UdpSink()
             start = setup.start_s
         else:
             source = TcpSource(
@@ -227,10 +183,11 @@ def build_dumbbell(scenario, loop: EventLoop, rng: Rng, observer) -> Dumbbell:
                 http_page_mean_pkts=scenario.http_page_mean_pkts,
                 http_think_mean_s=scenario.http_think_mean_s,
             )
-            dumbbell.sinks[flow_id] = TcpSink()
+            sink = TcpSink()
             # Stagger TCP starts so flows do not move in lockstep.
             start = setup.start_s + rng.random() * scenario.tcp_start_spread_s
         dumbbell.sources[flow_id] = source
+        dumbbell.ack_paths[flow_id] = (sink, ack_delay)
         emit_at(start)
 
     loop.schedule(0.0, EventKind.QUEUE_SAMPLE, 0)

@@ -1,4 +1,4 @@
-"""Traffic sources and sinks.
+"""Traffic sources and the sink of each flow.
 
 Simplified packet-level TCP (Reno and Vegas) driven by a persistent FTP
 application or a short-lived HTTP-like page model, constant-bit-rate UDP

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from aqmsim import harness
 from aqmsim.cli import main as cli_main
 from aqmsim.engine import EventKind, EventLoop
 from aqmsim.harness import emit_outputs, emit_sweep_csv, run_experiment, run_sweep
@@ -153,6 +154,32 @@ class TestSweeps:
         second = run_sweep("reno-vs-vegas", seed=1, duration=6.0, workers=2)
         assert first == second
 
+    @pytest.mark.parametrize("workers", [64, None])
+    def test_workers_clamped_to_run_count(self, monkeypatch, workers):
+        pools = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, starts no process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "run_experiment", lambda scenario: scenario.name)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        rows = run_sweep("reno-vs-vegas", seed=1, duration=6.0, workers=workers)
+        assert len(rows) == 4
+        assert pools == [4]
+
 
 class TestCli:
     def test_run_with_preset_and_outputs(self, tmp_path, capsys):
@@ -198,3 +225,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "model1-choked" in out
         assert "model2-sweep (sweep)" in out
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_sweep_rejects_workers_below_one(self, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["sweep", "--preset", "reno-vs-vegas", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from aqmsim.harness import run_experiment
 from aqmsim.metrics import (
     FlowStats,
     MetricsCollector,
-    goodput_tcp,
+    goodput,
     jain_index,
     throughput,
 )
@@ -23,35 +23,35 @@ from aqmsim.scenario import Scenario
 
 class TestThroughput:
     def test_definition(self):
-        stats = FlowStats(1, bits_delivered=1_000_000)
+        stats = FlowStats(1, "tcp", bits_delivered=1_000_000)
         assert throughput(stats, (0.0, 10.0)) == pytest.approx(100_000.0)
 
     def test_zero_deliveries(self):
-        stats = FlowStats(1, bits_delivered=0)
+        stats = FlowStats(1, "tcp", bits_delivered=0)
         assert throughput(stats, (0.0, 10.0)) == 0.0
 
     def test_empty_window_rejected(self):
-        stats = FlowStats(1)
+        stats = FlowStats(1, "tcp")
         with pytest.raises(ValueError):
             throughput(stats, (5.0, 5.0))
 
 
 class TestGoodput:
     def test_tcp_formula(self):
-        stats = FlowStats(1, bits_delivered=10_000_000, bits_retransmitted_delivered=1_000_000)
-        assert goodput_tcp(stats, (0.0, 10.0)) == pytest.approx(900_000.0)
+        stats = FlowStats(1, "tcp", bits_delivered=10_000_000, bits_retransmitted_delivered=1_000_000)
+        assert goodput(stats, (0.0, 10.0)) == pytest.approx(900_000.0)
 
     def test_no_retransmissions_equals_throughput(self):
-        stats = FlowStats(1, bits_delivered=5_000_000)
-        assert goodput_tcp(stats, (0.0, 10.0)) == throughput(stats, (0.0, 10.0))
+        stats = FlowStats(1, "tcp", bits_delivered=5_000_000)
+        assert goodput(stats, (0.0, 10.0)) == throughput(stats, (0.0, 10.0))
 
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
-            goodput_tcp(FlowStats(1), (5.0, 5.0))
+            goodput(FlowStats(1, "tcp"), (5.0, 5.0))
 
     def test_goodput_never_exceeds_throughput(self):
-        stats = FlowStats(1, bits_delivered=10_000_000, bits_retransmitted_delivered=400_000)
-        assert goodput_tcp(stats, (0.0, 10.0)) <= throughput(stats, (0.0, 10.0))
+        stats = FlowStats(1, "tcp", bits_delivered=10_000_000, bits_retransmitted_delivered=400_000)
+        assert goodput(stats, (0.0, 10.0)) <= throughput(stats, (0.0, 10.0))
 
 
 class TestJainIndex:
@@ -184,7 +184,7 @@ class TestDrawBound:
     def test_draws_beyond_bound_counted_as_violation(self):
         params = QdiscParams()
         collector = MetricsCollector(0.0, 1.0, Discipline.CHOKED, params)
-        collector.register_flow(1)
+        collector.on_flow(1, "tcp")
         q_c = 60
         bound = sum(drawing_split(drawing_factor(q_c, params)))
         at_bound = EnqueueDecision(Outcome.ADMIT, draws_performed=bound)

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -226,6 +228,8 @@ class TestValidation:
         "flow-starts-at-duration": ({"flow_overrides": {2: {"start_s": 100.0}}}, "start_s"),
         "override-unknown-flow": ({"flow_overrides": {99: {"start_s": 1.0}}}, "flow.99"),
         "override-unknown-field": ({"flow_overrides": {1: {"bogus": 1.0}}}, "bogus"),
+        "udp-flow-variant-override": ({"flow_overrides": {1: {"variant": TcpVariant.VEGAS}}}, r"\[flow\.1\] variant"),
+        "udp-flow-app-override": ({"flow_overrides": {1: {"app": AppKind.HTTP}}}, r"\[flow\.1\] app"),
         # 3.75e11 packets: 10,000 Mb/s everywhere for 100,000 s.
         "work-budget-fast-links": (
             {"duration_s": 100_000.0, "sample_period_s": 1000.0, "bottleneck_bps": 1e10, "access_bps": 1e10,
@@ -261,6 +265,41 @@ class TestValidation:
     def test_fair_share(self):
         scenario = Scenario(n_tcp=33, n_udp=1)
         assert scenario.fair_share_bps() == pytest.approx(1e6 / 34)
+
+
+class TestFlows:
+    def test_model1_counts(self):
+        flows = Scenario(n_tcp=33, n_udp=1).flows()
+        assert len(flows) == 34
+        assert flows[0].kind == "udp" and flows[0].flow_id == 1
+        assert all(f.kind == "tcp" for f in flows[1:])
+
+    def test_model2_point(self):
+        flows = Scenario(n_tcp=22, n_udp=3).flows()
+        assert sum(1 for f in flows if f.kind == "udp") == 3
+        assert sum(1 for f in flows if f.kind == "tcp") == 22
+
+    def test_scenario_defaults_and_overrides_applied(self):
+        scenario = Scenario(
+            n_tcp=2, n_udp=1, tcp_variant=TcpVariant.VEGAS, access_delay_s=0.002,
+            flow_overrides={3: {"variant": TcpVariant.RENO, "start_s": 0.5}},
+        )
+        flows = scenario.flows()
+        assert [f.variant for f in flows[1:]] == [TcpVariant.VEGAS, TcpVariant.RENO]
+        assert [f.start_s for f in flows] == [0.0, 0.0, 0.5]
+        assert all(f.access_delay_s == 0.002 and f.access_bps == 10e6 for f in flows)
+
+
+def test_readme_scenario_example_parses_and_validates():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario format\n", 1)[1].split("\n## ", 1)[0]
+    example = re.search(r"^```\n(.*?)^```$", section, re.M | re.S).group(1)
+    scenario = parse_scenario_text(example)
+    assert scenario.name == "example"
+    assert scenario.flow_overrides == {
+        3: {"variant": TcpVariant.VEGAS, "app": AppKind.HTTP, "access_bps": 10e6,
+            "access_delay_s": 0.015, "start_s": 0.5},
+    }
 
 
 class TestPresets:

@@ -7,7 +7,7 @@ from aqmsim.engine import EventKind, EventLoop, Rng
 from aqmsim.metrics import MetricsCollector
 from aqmsim.qdisc import Discipline, Packet
 from aqmsim.scenario import Scenario, sweep_scenarios
-from aqmsim.topology import Link, build_dumbbell, build_flow_setups, link_transmit
+from aqmsim.topology import Link, build_dumbbell, link_transmit
 from aqmsim.transport import ACK_SIZE_BITS, AppKind, TcpVariant
 
 
@@ -29,29 +29,6 @@ class TestLinkTransmit:
         assert link_transmit(link, Packet(1, 0), now=2.0) == 2.0
 
 
-class TestFlowSetups:
-    def test_model1_counts(self):
-        setups = build_flow_setups(Scenario(n_tcp=33, n_udp=1))
-        assert len(setups) == 34
-        assert setups[0].kind == "udp" and setups[0].flow_id == 1
-        assert all(s.kind == "tcp" for s in setups[1:])
-
-    def test_model2_point(self):
-        setups = build_flow_setups(Scenario(n_tcp=22, n_udp=3))
-        assert sum(1 for s in setups if s.kind == "udp") == 3
-        assert sum(1 for s in setups if s.kind == "tcp") == 22
-
-    def test_scenario_defaults_and_overrides_applied(self):
-        scenario = Scenario(
-            n_tcp=2, n_udp=1, tcp_variant=TcpVariant.VEGAS, access_delay_s=0.002,
-            flow_overrides={3: {"variant": TcpVariant.RENO, "start_s": 0.5}},
-        )
-        setups = build_flow_setups(scenario)
-        assert [s.variant for s in setups[1:]] == [TcpVariant.VEGAS, TcpVariant.RENO]
-        assert [s.start_s for s in setups] == [0.0, 0.0, 0.5]
-        assert all(s.access_delay_s == 0.002 and s.access_bps == 10e6 for s in setups)
-
-
 def build(scenario):
     loop = EventLoop()
     rng = Rng(scenario.seed)
@@ -59,8 +36,6 @@ def build(scenario):
         scenario.warmup_s, scenario.duration_s, scenario.discipline, scenario.qdisc_params()
     )
     dumbbell = build_dumbbell(scenario, loop, rng, collector)
-    for flow_id in dumbbell.sources:
-        collector.register_flow(flow_id)
     return loop, collector, dumbbell
 
 
@@ -70,8 +45,15 @@ class TestBuildDumbbell:
         loop, collector, dumbbell = build(scenario)
         assert len(dumbbell.sources) == 34
         assert dumbbell.state.params.capacity == 100
-        assert dumbbell.flow_kinds[1] == "udp"
-        assert dumbbell.flow_kinds[34] == "tcp"
+        assert collector.flow_stats[1].kind == "udp"
+        assert collector.flow_stats[34].kind == "tcp"
+
+    def test_build_announces_every_flow_to_the_observer(self):
+        scenario = Scenario(discipline=Discipline.CHOKED, n_tcp=33, n_udp=1)
+        collector = MetricsCollector(scenario.warmup_s, scenario.duration_s, scenario.discipline)
+        build_dumbbell(scenario, EventLoop(), Rng(scenario.seed), collector)
+        assert list(collector.flow_stats) == list(range(1, 35))
+        assert [stats.kind for stats in collector.flow_stats.values()] == ["udp"] + ["tcp"] * 33
 
     def test_build_leaves_first_emissions_and_first_queue_sample_pending(self):
         scenario = Scenario(discipline=Discipline.CHOKED, n_tcp=33, n_udp=1)
@@ -85,9 +67,9 @@ class TestBuildDumbbell:
         # The reverse path is the access delay plus the bottleneck delay
         # plus the ACK's serialization on the access link.
         tcp_delays = [
-            dumbbell.reverse_delay[f] - scenario.bottleneck_delay_s - ACK_SIZE_BITS / scenario.access_bps
-            for f, kind in dumbbell.flow_kinds.items()
-            if kind == "tcp"
+            dumbbell.ack_paths[f][1] - scenario.bottleneck_delay_s - ACK_SIZE_BITS / scenario.access_bps
+            for f, stats in collector.flow_stats.items()
+            if stats.kind == "tcp"
         ]
         assert sorted(set(round(d, 6) for d in tcp_delays)) == [0.0, 0.015]
         assert sum(1 for d in tcp_delays if d > 0.01) == 11
@@ -110,7 +92,7 @@ class TestBuildDumbbell:
         kinds = [
             dumbbell.sources[f].app_kind
             for f in sorted(dumbbell.sources)
-            if dumbbell.flow_kinds[f] == "tcp"
+            if collector.flow_stats[f].kind == "tcp"
         ]
         assert kinds.count(AppKind.FTP) == 15
         assert kinds.count(AppKind.HTTP) == 15

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import metrics as metrics_mod
 from .engine import EventLoop, Rng
-from .metrics import MetricsCollector, QueueTracePoint
+from .metrics import FlowStats, MetricsCollector, QueueTracePoint
 from .scenario import Scenario, sweep_scenarios
 from .topology import build_dumbbell
 
@@ -23,20 +23,16 @@ CSV_SCHEMA_VERSION = 1
 
 
 @dataclass
-class FlowReport:
-    flow_id: int
-    kind: str  # "tcp" | "udp"
-    throughput_bps: float
-    goodput_bps: float
-
-
-@dataclass
 class RunReport:
+    """One run's results: `flows` holds one FlowStats record per flow in
+    flow-id order, and a flow's rates are metrics.throughput/goodput of its
+    record over `window`, the measurement window (warmup, duration)."""
+
     discipline: str
     seed: int
-    warmup_s: float
+    window: tuple[float, float]
     fair_share_bps: float
-    flows: list[FlowReport]
+    flows: list[FlowStats]
     tcp_throughput_bps: float
     tcp_goodput_bps: float
     udp_throughput_bps: float
@@ -46,11 +42,21 @@ class RunReport:
     outcome_counts: dict[str, int]
     draws_histogram: dict[int, int]
     draw_bound_violations: int
-    conservation: dict[int, dict[str, int]]
-    bins: dict[int, dict[int, int]]
+
+    @property
+    def warmup_s(self) -> float:
+        return self.window[0]
+
+    @property
+    def conservation(self) -> dict[int, dict[str, int]]:
+        """Per flow: packets emitted, delivered, dropped and still in the network."""
+        return {
+            f.flow_id: {"emitted": f.emitted, "delivered": f.delivered, "dropped": f.dropped, "residual": f.residual}
+            for f in self.flows
+        }
 
     def throughputs_bps(self) -> list[float]:
-        return [flow.throughput_bps for flow in self.flows]
+        return [metrics_mod.throughput(flow, self.window) for flow in self.flows]
 
     def throughput_sdv_kbps(self) -> float:
         """Sample standard deviation of per-flow throughputs, in kb/s."""
@@ -75,37 +81,28 @@ def run_experiment(scenario: Scenario) -> RunReport:
     loop.run_until(scenario.duration_s)
 
     window = (scenario.warmup_s, scenario.duration_s)
-    flows: list[FlowReport] = []
+    residual = dumbbell.residual_packets()
+    flows: list[FlowStats] = []
+    shares: list[float] = []
     tcp_throughput = tcp_goodput = udp_throughput = 0.0
     for flow_id, stats in sorted(collector.flow_stats.items()):
+        stats.residual = residual[flow_id]
         rate = metrics_mod.throughput(stats, window)
-        good = metrics_mod.goodput(stats, window)
         if stats.kind == "tcp":
             tcp_throughput += rate
-            tcp_goodput += good
+            tcp_goodput += metrics_mod.goodput(stats, window)
         else:
             udp_throughput += rate
-        flows.append(FlowReport(flow_id, stats.kind, rate, good))
+        flows.append(stats)
+        shares.append(rate)
 
-    shares = [flow.throughput_bps for flow in flows]
     fairness = metrics_mod.jain_index(shares) if any(shares) else 0.0
     delay = collector.mean_queuing_delay() if collector.delay_count else 0.0
-
-    residual = dumbbell.residual_packets()
-    conservation = {
-        flow_id: {
-            "emitted": stats.emitted,
-            "delivered": stats.delivered,
-            "dropped": stats.dropped,
-            "residual": residual[flow_id],
-        }
-        for flow_id, stats in sorted(collector.flow_stats.items())
-    }
 
     return RunReport(
         discipline=scenario.discipline.value,
         seed=scenario.seed,
-        warmup_s=scenario.warmup_s,
+        window=window,
         fair_share_bps=scenario.fair_share_bps(),
         flows=flows,
         tcp_throughput_bps=tcp_throughput,
@@ -114,11 +111,9 @@ def run_experiment(scenario: Scenario) -> RunReport:
         fairness=fairness,
         mean_queuing_delay_s=delay,
         queue_trace=collector.queue_trace,
-        outcome_counts={k.value: v for k, v in sorted(collector.outcome_counts.items(), key=lambda kv: kv[0].value)},
-        draws_histogram=dict(sorted(collector.draws_histogram.items())),
+        outcome_counts=collector.outcome_counts,
+        draws_histogram=collector.draws_histogram,
         draw_bound_violations=collector.draw_bound_violations,
-        conservation=conservation,
-        bins={fid: dict(sorted(stats.bins.items())) for fid, stats in collector.flow_stats.items()},
     )
 
 
@@ -164,8 +159,8 @@ def emit_outputs(report: RunReport, out_dir: str) -> list[str]:
         [
             flow.flow_id,
             flow.kind,
-            f"{flow.throughput_bps / 1e6:.6f}",
-            f"{flow.goodput_bps / 1e6:.6f}",
+            f"{metrics_mod.throughput(flow, report.window) / 1e6:.6f}",
+            f"{metrics_mod.goodput(flow, report.window) / 1e6:.6f}",
             f"{report.fair_share_bps / 1e6:.6f}",
         ]
         for flow in report.flows
@@ -181,9 +176,9 @@ def emit_outputs(report: RunReport, out_dir: str) -> list[str]:
     ]
     queue_trace = ([f"{point.t:.3f}", point.q_c, f"{point.q_a:.6f}"] for point in report.queue_trace)
     timeseries = (
-        [t_bin, flow_id, f"{bits / 1e6:.6f}"]
-        for flow_id in sorted(report.bins)
-        for t_bin, bits in report.bins[flow_id].items()
+        [t_bin, flow.flow_id, f"{bits / 1e6:.6f}"]
+        for flow in report.flows
+        for t_bin, bits in sorted(flow.bins.items())
     )
     return [
         _write_csv(out_dir, "summary", ["flow_id", "kind", "throughput_mbps", "goodput_mbps", "fair_share_mbps"], summary),

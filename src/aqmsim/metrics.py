@@ -27,7 +27,8 @@ from .qdisc import (
 class FlowStats:
     """One flow's record: full-run packet conservation counts, delivered
     bits per one-second bin, and delivered-bit totals over the measurement
-    window."""
+    window. The harness sets `residual` after the run: the flow's packets
+    then still in the network."""
 
     flow_id: int
     kind: str  # "tcp" | "udp"
@@ -37,6 +38,7 @@ class FlowStats:
     delivered: int = 0
     dropped: int = 0
     bins: Counter[int] = field(default_factory=Counter)
+    residual: int = 0
 
 
 class QueueTracePoint(NamedTuple):
@@ -67,8 +69,12 @@ def jain_index(shares: list[float]) -> float:
     """(sum x)^2 / (n sum x^2); 1 = equal shares, 1/n = one flow takes all."""
     if not shares:
         raise ValueError("fairness needs at least one share")
-    total = sum(shares)
-    squares = sum(x * x for x in shares)
+    # Left to right, as on Python 3.11: from 3.12 `sum()` of floats is
+    # compensated and can change the last digit of the index.
+    total = squares = 0
+    for x in shares:
+        total += x
+        squares += x * x
     if squares == 0:
         raise ValueError("fairness undefined for an all-zero share vector")
     return (total * total) / (len(shares) * squares)
@@ -120,15 +126,11 @@ class MetricsCollector:
         self.draw_bound_violations = 0
 
     @property
-    def outcome_counts(self) -> Counter[Outcome]:
-        """Decisions per outcome; outcomes that never occurred are absent."""
-        return +Counter(
-            {
-                Outcome.ADMIT: self.admitted,
-                Outcome.DROP_ARRIVING: self.arrivals_dropped,
-                Outcome.MATCH_DROP: self.match_drops,
-            }
-        )
+    def outcome_counts(self) -> dict[str, int]:
+        """Decisions per outcome value, in the order admit, drop_arriving,
+        match_drop; outcomes that never occurred are absent."""
+        counts = {"admit": self.admitted, "drop_arriving": self.arrivals_dropped, "match_drop": self.match_drops}
+        return {outcome: n for outcome, n in counts.items() if n}
 
     def on_flow(self, flow_id: int, kind: str) -> None:
         self.flow_stats[flow_id] = FlowStats(flow_id, kind)

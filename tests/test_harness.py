@@ -8,6 +8,7 @@ from aqmsim import harness
 from aqmsim.cli import main as cli_main
 from aqmsim.engine import EventKind, EventLoop
 from aqmsim.harness import emit_outputs, emit_sweep_csv, run_experiment, run_sweep
+from aqmsim.metrics import MetricsCollector
 from aqmsim.scenario import SWEEP_PRESETS, load_preset
 
 
@@ -26,6 +27,7 @@ class TestRunExperiment:
         ids = [f.flow_id for f in model1_report.flows]
         assert ids == sorted(ids)
         assert len(ids) == len(set(ids)) == 34
+        assert [f.kind for f in model1_report.flows] == ["udp"] + ["tcp"] * 33
 
     def test_deterministic_repeat(self, model1_report):
         again = run_experiment(short_model1())
@@ -36,7 +38,7 @@ class TestRunExperiment:
         assert other != model1_report
 
     def test_throughput_sum_within_capacity(self, model1_report):
-        total = sum(f.throughput_bps for f in model1_report.flows)
+        total = sum(model1_report.throughputs_bps())
         assert total <= 1e6 * 1.0000001
 
     def test_conservation_exact_per_flow(self, model1_report):
@@ -79,6 +81,20 @@ class TestRunExperiment:
         report = run_experiment(short_model1())
         n_samples = int(15.0 / 0.1) + 1
         assert dispatched[EventKind.QUEUE_SAMPLE] == len(report.queue_trace) == n_samples
+
+    def test_null_observer_gives_an_empty_report(self, monkeypatch):
+        names = [n for n in vars(MetricsCollector) if n.startswith("on_") or n == "sample_queue"]
+        null_observer = type("NullObserver", (), {n: lambda self, *args: None for n in names})()
+        build_dumbbell = harness.build_dumbbell
+        monkeypatch.setattr(
+            harness, "build_dumbbell",
+            lambda scenario, loop, rng, observer: build_dumbbell(scenario, loop, rng, null_observer),
+        )
+        report = run_experiment(replace(short_model1(), duration_s=5.0, warmup_s=1.0))
+        assert report.flows == []
+        assert report.fairness == 0.0
+        assert report.mean_queuing_delay_s == 0.0
+        assert report.conservation == {}
 
     def test_outcome_counts_cover_all_arrivals(self, model1_report):
         assert set(model1_report.outcome_counts) <= {"admit", "drop_arriving", "match_drop"}

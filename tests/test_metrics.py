@@ -64,6 +64,10 @@ class TestJainIndex:
     def test_hand_value(self):
         assert jain_index([3.0, 1.0]) == pytest.approx(0.8)
 
+    def test_sums_left_to_right(self):
+        # A compensated sum (math.fsum, or sum() from Python 3.12) gives 0.9999999999999998.
+        assert jain_index([0.1] * 10) == 0.9999999999999993
+
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             jain_index([0.0, 0.0])
@@ -193,6 +197,6 @@ class TestDrawBound:
         beyond = EnqueueDecision(Outcome.MATCH_DROP, (3,), bound + 1)
         collector.on_arrival(0.6, Packet(1, 1), beyond, q_c, 50.0)
         assert collector.draw_bound_violations == 1
-        assert collector.outcome_counts == {Outcome.ADMIT: 1, Outcome.MATCH_DROP: 1}
+        assert collector.outcome_counts == {"admit": 1, "match_drop": 1}
         assert collector.flow_stats[1].dropped == 2
         assert collector.draws_histogram == {bound: 1, bound + 1: 1}

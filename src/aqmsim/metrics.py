@@ -101,7 +101,9 @@ class MetricsCollector:
 
     Keeps one FlowStats record per flow announced by `on_flow`, queue
     residence, the periodic queue trace and per-outcome decision counts
-    with a draws histogram.
+    with a draws histogram. Given the qdisc `params`, it also counts
+    arrivals whose draws exceed the discipline's draw bound; without them
+    there is no bound, and that check is skipped.
     """
 
     def __init__(
@@ -159,7 +161,7 @@ class MetricsCollector:
                 self.match_drops += 1
             else:
                 self.arrivals_dropped += 1
-        if draws > self.draw_bounds[q_c]:
+        if self.draw_bounds and draws > self.draw_bounds[q_c]:
             self.draw_bound_violations += 1
 
     def on_service_start(self, pk: Packet, now: float) -> None:

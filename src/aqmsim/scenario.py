@@ -8,17 +8,10 @@ Grammar (line oriented, human-diffable):
                                        links, flow.N (per-flow overrides)
     key = value
 
-Sections and keys:
-
-    [scenario]  name, duration_s, warmup_s, seed, sample_period_s
-    [qdisc]     discipline (droptail|red|choke|gchoke|choked),
-                buffer_pkts, t_min_pkts, t_max_pkts, w_q, max_p, maxcomp
-    [traffic]   n_tcp, n_udp, tcp_variant (reno|vegas), app (ftp|http),
-                udp_rate_mbps, tcp_start_spread_s,
-                http_page_mean_pkts, http_think_mean_s
-    [links]     bottleneck_mbps, bottleneck_delay_ms,
-                access_mbps, access_delay_ms, packet_size_bits
-    [flow.N]    variant, app (TCP flows only), access_mbps, access_delay_ms, start_s
+Each key is declared once, on its `Scenario` or `FlowSetup` field (see
+`_key`): its section, its name, its default and the reader that turns the
+text value into the stored value, with Mb/s and ms keys scaled to b/s and
+s. [flow.N] sections take the keys of the `FlowSetup` override fields.
 
 Flow ids number UDP flows first (1..n_udp), then TCP flows;
 `Scenario.flows` resolves each flow with its overrides applied. Only
@@ -33,7 +26,7 @@ from __future__ import annotations
 import copy
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .qdisc import Discipline, QdiscParams
 from .transport import MAX_CWND, MIN_RTO, AppKind, TcpVariant
@@ -51,6 +44,21 @@ MAX_PACKETS = 10**8
 MAX_QUEUE_SAMPLES = 100_000
 
 
+def _mbps(raw: str) -> float:
+    return float(raw) * 1e6
+
+
+def _ms(raw: str) -> float:
+    return float(raw) * 1e-3
+
+
+def _key(section: str, key: str, default=MISSING, reader=None):
+    """A field that the text format sets as `key` in [section]. `reader`
+    turns the text value into the field's value; it defaults to the type
+    of `default`, which for an enum is its class (looked up by value)."""
+    return field(default=default, metadata={"text": (section, key, reader or type(default))})
+
+
 @dataclass
 class FlowSetup:
     """One flow's resolved parameters: the scenario's defaults with its
@@ -58,40 +66,40 @@ class FlowSetup:
 
     flow_id: int
     kind: str  # "tcp" | "udp"
-    variant: TcpVariant
-    app: AppKind
-    access_bps: float
-    access_delay_s: float
-    start_s: float
+    variant: TcpVariant = _key("flow", "variant", reader=TcpVariant)
+    app: AppKind = _key("flow", "app", reader=AppKind)
+    access_bps: float = _key("flow", "access_mbps", reader=_mbps)
+    access_delay_s: float = _key("flow", "access_delay_ms", reader=_ms)
+    start_s: float = _key("flow", "start_s", reader=float)
 
 
 @dataclass
 class Scenario:
-    name: str = "unnamed"
-    discipline: Discipline = Discipline.CHOKED
-    buffer_pkts: int = 100
-    t_min: int = 40
-    t_max: int = 80
-    w_q: float = 0.02
-    max_p: float = 0.1
-    maxcomp: int = 3
-    n_tcp: int = 0
-    n_udp: int = 0
-    tcp_variant: TcpVariant = TcpVariant.RENO
-    app: AppKind = AppKind.FTP
-    udp_rate_bps: float = 2e6
-    packet_size_bits: int = 8000
-    bottleneck_bps: float = 1e6
-    bottleneck_delay_s: float = 0.010
-    access_bps: float = 10e6
-    access_delay_s: float = 0.001
-    duration_s: float = 100.0
-    warmup_s: float = 10.0
-    seed: int = 1
-    sample_period_s: float = 0.1
-    tcp_start_spread_s: float = 1.0
-    http_page_mean_pkts: float = 12.0
-    http_think_mean_s: float = 1.0
+    name: str = _key("scenario", "name", "unnamed")
+    discipline: Discipline = _key("qdisc", "discipline", Discipline.CHOKED)
+    buffer_pkts: int = _key("qdisc", "buffer_pkts", 100)
+    t_min: int = _key("qdisc", "t_min_pkts", 40)
+    t_max: int = _key("qdisc", "t_max_pkts", 80)
+    w_q: float = _key("qdisc", "w_q", 0.02)
+    max_p: float = _key("qdisc", "max_p", 0.1)
+    maxcomp: int = _key("qdisc", "maxcomp", 3)
+    n_tcp: int = _key("traffic", "n_tcp", 0)
+    n_udp: int = _key("traffic", "n_udp", 0)
+    tcp_variant: TcpVariant = _key("traffic", "tcp_variant", TcpVariant.RENO)
+    app: AppKind = _key("traffic", "app", AppKind.FTP)
+    udp_rate_bps: float = _key("traffic", "udp_rate_mbps", 2e6, _mbps)
+    packet_size_bits: int = _key("links", "packet_size_bits", 8000)
+    bottleneck_bps: float = _key("links", "bottleneck_mbps", 1e6, _mbps)
+    bottleneck_delay_s: float = _key("links", "bottleneck_delay_ms", 0.010, _ms)
+    access_bps: float = _key("links", "access_mbps", 10e6, _mbps)
+    access_delay_s: float = _key("links", "access_delay_ms", 0.001, _ms)
+    duration_s: float = _key("scenario", "duration_s", 100.0)
+    warmup_s: float = _key("scenario", "warmup_s", 10.0)
+    seed: int = _key("scenario", "seed", 1)
+    sample_period_s: float = _key("scenario", "sample_period_s", 0.1)
+    tcp_start_spread_s: float = _key("traffic", "tcp_start_spread_s", 1.0)
+    http_page_mean_pkts: float = _key("traffic", "http_page_mean_pkts", 12.0)
+    http_think_mean_s: float = _key("traffic", "http_think_mean_s", 1.0)
     flow_overrides: dict[int, dict] = field(default_factory=dict)
 
     @property
@@ -199,15 +207,16 @@ class Scenario:
                 problems.append(f"[flow.{flow_id}]: no such flow (1..{self.n_flows})")
                 resolvable = False
             for name, value in fields_.items():
+                key = f"[flow.{flow_id}] {_TEXT_KEY.get(name, name)}"
                 if name not in _FLOW_ATTRS:
-                    problems.append(f"[flow.{flow_id}] {name}: unknown override")
+                    problems.append(f"{key}: unknown override")
                     resolvable = False
                 elif name == "access_bps" and value <= 0:
-                    problems.append(f"[flow.{flow_id}] access_mbps: must be positive")
+                    problems.append(f"{key}: must be positive")
                 elif name in ("access_delay_s", "start_s") and value < 0:
-                    problems.append(f"[flow.{flow_id}] {name}: must be >= 0")
+                    problems.append(f"{key}: must be >= 0")
                 elif name == "start_s" and value >= self.duration_s:
-                    problems.append(f"[flow.{flow_id}] start_s={value}: must be < duration_s={self.duration_s}")
+                    problems.append(f"{key}={value}: must be < duration_s={self.duration_s}")
         if resolvable:
             udp_flows = [flow for flow in self.flows() if flow.kind == "udp"]
             for flow in udp_flows:
@@ -221,81 +230,37 @@ class Scenario:
             raise ScenarioError("; ".join(problems))
 
 
-_ENUMS = {
-    "discipline": {d.value: d for d in Discipline},
-    "tcp_variant": {v.value: v for v in TcpVariant},
-    "variant": {v.value: v for v in TcpVariant},
-    "app": {a.value: a for a in AppKind},
+# (section, key) -> (attribute, reader), from the fields that declare the
+# text format; [flow.N] keys are in section "flow".
+_KEYS = {
+    f.metadata["text"][:2]: (f.name, f.metadata["text"][2])
+    for f in fields(Scenario) + fields(FlowSetup)
+    if "text" in f.metadata
 }
 
-# (section, key) -> (Scenario attribute, converter)
-_KEYMAP = {
-    ("scenario", "name"): ("name", str),
-    ("scenario", "duration_s"): ("duration_s", float),
-    ("scenario", "warmup_s"): ("warmup_s", float),
-    ("scenario", "seed"): ("seed", int),
-    ("scenario", "sample_period_s"): ("sample_period_s", float),
-    ("qdisc", "discipline"): ("discipline", "enum"),
-    ("qdisc", "buffer_pkts"): ("buffer_pkts", int),
-    ("qdisc", "t_min_pkts"): ("t_min", int),
-    ("qdisc", "t_max_pkts"): ("t_max", int),
-    ("qdisc", "w_q"): ("w_q", float),
-    ("qdisc", "max_p"): ("max_p", float),
-    ("qdisc", "maxcomp"): ("maxcomp", int),
-    ("traffic", "n_tcp"): ("n_tcp", int),
-    ("traffic", "n_udp"): ("n_udp", int),
-    ("traffic", "tcp_variant"): ("tcp_variant", "enum"),
-    ("traffic", "app"): ("app", "enum"),
-    ("traffic", "udp_rate_mbps"): ("udp_rate_bps", "mbps"),
-    ("traffic", "tcp_start_spread_s"): ("tcp_start_spread_s", float),
-    ("traffic", "http_page_mean_pkts"): ("http_page_mean_pkts", float),
-    ("traffic", "http_think_mean_s"): ("http_think_mean_s", float),
-    ("links", "bottleneck_mbps"): ("bottleneck_bps", "mbps"),
-    ("links", "bottleneck_delay_ms"): ("bottleneck_delay_s", "ms"),
-    ("links", "access_mbps"): ("access_bps", "mbps"),
-    ("links", "access_delay_ms"): ("access_delay_s", "ms"),
-    ("links", "packet_size_bits"): ("packet_size_bits", int),
-}
+# Attribute -> its key in the text format, for error messages.
+_TEXT_KEY = {attr: key for (_, key), (attr, _) in _KEYS.items()}
 
-# Scenario attribute -> its key in the text format, for error messages.
-_TEXT_KEY = {attr: key for (_, key), (attr, _) in _KEYMAP.items()}
-
-_FLOW_KEYMAP = {
-    "variant": ("variant", "enum"),
-    "app": ("app", "enum"),
-    "access_mbps": ("access_bps", "mbps"),
-    "access_delay_ms": ("access_delay_s", "ms"),
-    "start_s": ("start_s", float),
-}
-
-_FLOW_ATTRS = {attr for attr, _ in _FLOW_KEYMAP.values()}
+_FLOW_ATTRS = {attr for (section, _), (attr, _) in _KEYS.items() if section == "flow"}
 
 _REQUIRED = {("qdisc", "discipline"), ("traffic", "n_tcp"), ("traffic", "n_udp")}
 
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def _convert(raw: str, converter, key: str, lineno: int):
+def _convert(raw: str, reader, key: str, lineno: int):
     try:
-        if converter == "enum":
-            mapping = _ENUMS[key]
-            if raw not in mapping:
-                raise ValueError(f"expected one of {sorted(mapping)}")
-            return mapping[raw]
-        if converter == "mbps":
-            return float(raw) * 1e6
-        if converter == "ms":
-            return float(raw) * 1e-3
-        return converter(raw)
+        return reader(raw)
     except ValueError as exc:
+        if hasattr(reader, "__members__"):  # an enum class
+            exc = f"expected one of {sorted(member.value for member in reader)}"
         raise ScenarioError(f"line {lineno}: bad value for {key!r}: {exc}") from None
 
 
 def parse_scenario_text(text: str) -> Scenario:
     scenario = Scenario()
     seen: dict[tuple[str, str], int] = {}  # (section, key) -> line number
-    section = None
-    flow_id = None
+    section = where = overrides = None  # overrides: a [flow.N] section's dict
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(raw_line, 1)[0].strip()
         if not line:
@@ -303,14 +268,15 @@ def parse_scenario_text(text: str) -> Scenario:
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name in ("scenario", "qdisc", "traffic", "links"):
-                section, flow_id = name, None
+                section = where = name
+                overrides = None
             elif name.startswith("flow."):
                 try:
                     flow_id = int(name[5:])
                 except ValueError:
                     raise ScenarioError(f"line {lineno}: bad flow section {name!r}") from None
-                section = "flow"
-                scenario.flow_overrides.setdefault(flow_id, {})
+                section, where = "flow", f"flow.{flow_id}"
+                overrides = scenario.flow_overrides.setdefault(flow_id, {})
             else:
                 raise ScenarioError(f"line {lineno}: unknown section [{name}]")
             continue
@@ -319,22 +285,19 @@ def parse_scenario_text(text: str) -> Scenario:
         if section is None:
             raise ScenarioError(f"line {lineno}: key outside any [section]")
         key, raw = (part.strip() for part in line.split("=", 1))
-        where = f"flow.{flow_id}" if section == "flow" else section
         if (where, key) in seen:
             raise ScenarioError(
                 f"line {lineno}: key {key!r} in [{where}] already set on line {seen[(where, key)]}"
             )
         seen[(where, key)] = lineno
-        if section == "flow":
-            if key not in _FLOW_KEYMAP:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r} in [flow.{flow_id}]")
-            attr, converter = _FLOW_KEYMAP[key]
-            scenario.flow_overrides[flow_id][attr] = _convert(raw, converter, key, lineno)
-            continue
-        if (section, key) not in _KEYMAP:
-            raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        attr, converter = _KEYMAP[(section, key)]
-        setattr(scenario, attr, _convert(raw, converter, key, lineno))
+        if (section, key) not in _KEYS:
+            raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{where}]")
+        attr, reader = _KEYS[(section, key)]
+        value = _convert(raw, reader, key, lineno)
+        if overrides is None:
+            setattr(scenario, attr, value)
+        else:
+            overrides[attr] = value
     missing = _REQUIRED - seen.keys()
     if missing:
         names = ", ".join(f"[{s}] {k}" for s, k in sorted(missing))

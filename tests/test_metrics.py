@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
+from aqmsim.engine import EventLoop, Rng
 from aqmsim.harness import run_experiment
 from aqmsim.metrics import (
     FlowStats,
@@ -18,7 +21,8 @@ from aqmsim.qdisc import (
     drawing_factor,
     drawing_split,
 )
-from aqmsim.scenario import Scenario
+from aqmsim.scenario import Scenario, load_preset
+from aqmsim.topology import build_dumbbell
 
 
 class TestThroughput:
@@ -200,3 +204,19 @@ class TestDrawBound:
         assert collector.outcome_counts == {"admit": 1, "match_drop": 1}
         assert collector.flow_stats[1].dropped == 2
         assert collector.draws_histogram == {bound: 1, bound + 1: 1}
+
+    def test_collector_without_params_skips_the_check(self):
+        scenario = replace(load_preset("model1-choked"), duration_s=2.0, warmup_s=0.5)
+
+        def observe(*qdisc):
+            collector = MetricsCollector(scenario.warmup_s, scenario.duration_s, *qdisc)
+            loop = EventLoop()
+            build_dumbbell(scenario, loop, Rng(scenario.seed), collector)
+            loop.run_until(scenario.duration_s)
+            return collector
+
+        bare = observe(scenario.discipline)
+        full = observe(scenario.discipline, scenario.qdisc_params())
+        assert bare.draw_bound_violations == 0
+        assert bare.flow_stats == full.flow_stats
+        assert bare.outcome_counts == full.outcome_counts

@@ -14,6 +14,8 @@ from aqmsim.scenario import (
     MODEL2_POINTS,
     PRESETS,
     SWEEP_PRESETS,
+    _KEYS,
+    _REQUIRED,
     Scenario,
     ScenarioError,
     load_preset,
@@ -87,8 +89,6 @@ class TestParsing:
         assert scenario.app is AppKind.FTP
 
     def test_thresholds_inverted_names_both_keys(self):
-        doc = MINIMAL + "t_min_pkts = 80\nt_max_pkts = 40\n"
-        doc = doc.replace("discipline = choked", "discipline = choked\nt_min_pkts = 80\nt_max_pkts = 40")
         with pytest.raises(ScenarioError) as err:
             parse_scenario_text(MINIMAL.replace(
                 "discipline = choked",
@@ -226,6 +226,12 @@ class TestValidation:
         "http-think-mean-zero": ({"http_think_mean_s": 0.0}, "http_think_mean_s"),
         "http-think-mean-negative": ({"http_think_mean_s": -1.0}, "http_think_mean_s"),
         "flow-starts-at-duration": ({"flow_overrides": {2: {"start_s": 100.0}}}, "start_s"),
+        "flow-start-negative": ({"flow_overrides": {2: {"start_s": -1.0}}}, r"\[flow\.2\] start_s"),
+        "flow-access-rate-zero": ({"flow_overrides": {2: {"access_bps": 0.0}}}, r"\[flow\.2\] access_mbps"),
+        "flow-access-delay-negative": (
+            {"flow_overrides": {2: {"access_delay_s": -0.005}}}, r"\[flow\.2\] access_delay_ms",
+        ),
+        "bottleneck-delay-zero": ({"bottleneck_delay_s": 0.0}, "bottleneck_delay_ms"),
         "override-unknown-flow": ({"flow_overrides": {99: {"start_s": 1.0}}}, "flow.99"),
         "override-unknown-field": ({"flow_overrides": {1: {"bogus": 1.0}}}, "bogus"),
         "udp-flow-variant-override": ({"flow_overrides": {1: {"variant": TcpVariant.VEGAS}}}, r"\[flow\.1\] variant"),
@@ -300,6 +306,20 @@ def test_readme_scenario_example_parses_and_validates():
         3: {"variant": TcpVariant.VEGAS, "app": AppKind.HTTP, "access_bps": 10e6,
             "access_delay_s": 0.015, "start_s": 0.5},
     }
+    # The example writes every key once, and every optional key outside
+    # [flow.N] at its default, as the README says.
+    written, section = [], None
+    for line in example.splitlines():
+        line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+        if line.startswith("["):
+            section = "flow" if line.startswith("[flow.") else line[1:-1]
+        elif line:
+            written.append((section, line.split("=", 1)[0].strip()))
+    assert sorted(written) == sorted(_KEYS)
+    defaults = Scenario()
+    for (section, key), (attr, _) in _KEYS.items():
+        if section != "flow" and (section, key) not in _REQUIRED and key != "name":
+            assert getattr(scenario, attr) == getattr(defaults, attr), key
 
 
 class TestPresets:

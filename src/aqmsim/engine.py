@@ -100,9 +100,12 @@ class EventLoop:
 class Rng:
     """Seeded pseudo-random source shared by all stochastic decisions.
 
-    The generator family is pinned to the stdlib Mersenne Twister
-    (random.Random); golden regression values in the test suite depend on
-    it, so changing the family invalidates them.
+    The generator is the stdlib Mersenne Twister (random.Random), but every
+    draw is built here from its two stable outputs, `getrandbits` and
+    `random()`, so the bytes of a run depend only on those and not on how
+    an interpreter implements `randrange`, `sample` or `expovariate`. The
+    draw vectors pinned in the test suite hold the methods to CPython
+    3.11's algorithms, which each method restates.
     """
 
     def __init__(self, seed: int) -> None:
@@ -112,20 +115,61 @@ class Rng:
         """Uniform integer in [0, n)."""
         if n < 1:
             raise ValueError(f"index() needs n >= 1, got {n}")
-        return self._r.randrange(n)
+        # 3.11's Random._randbelow_with_getrandbits: n.bit_length() bits,
+        # redrawn until below n.
+        getrandbits = self._r.getrandbits
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return self._r.random()
 
     def sample(self, population: range, k: int) -> list[int]:
-        """k distinct values drawn uniformly from population."""
-        return self._r.sample(population, k)
+        """k distinct values drawn uniformly from population, in selection
+        order."""
+        # 3.11's Random.sample: a pool of the whole population while its
+        # list is smaller than a k-entry set, else a set of drawn indices.
+        n = len(population)
+        if not 0 <= k <= n:
+            raise ValueError(f"sample() needs 0 <= k <= {n}, got {k}")
+        getrandbits = self._r.getrandbits
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        result = [0] * k
+        if n <= setsize:
+            pool = list(population)
+            for i in range(k):
+                # index(n - i), inline.
+                m = n - i
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                result[i] = pool[j]
+                pool[j] = pool[m - 1]
+        else:
+            # Redrawing a taken index reads the same bits as 3.11's nested
+            # `_randbelow(n)` loops, since every draw takes n.bit_length().
+            bits = n.bit_length()
+            selected: set[int] = set()
+            for i in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in selected:
+                    j = getrandbits(bits)
+                selected.add(j)
+                result[i] = population[j]
+        return result
 
     def exponential(self, mean: float) -> float:
         if mean <= 0:
             raise ValueError(f"exponential() needs mean > 0, got {mean}")
-        return self._r.expovariate(1.0 / mean)
+        # 3.11's Random.expovariate(1 / mean); `* mean` would round differently.
+        return -math.log(1.0 - self._r.random()) / (1.0 / mean)
 
     def geometric(self, mean: float) -> int:
         """Geometric variate on {1, 2, ...} with the given mean."""

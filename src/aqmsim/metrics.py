@@ -18,8 +18,7 @@ from .qdisc import (
     Outcome,
     Packet,
     QdiscParams,
-    drawing_factor,
-    drawing_split,
+    choked_draw_table,
 )
 
 
@@ -92,7 +91,7 @@ def draw_bound_table(discipline: Discipline | None, params: QdiscParams | None) 
     if discipline is Discipline.GCHOKE:
         return [params.maxcomp] * n
     if discipline is Discipline.CHOKED:
-        return [sum(drawing_split(drawing_factor(q_c, params))) for q_c in range(n)]
+        return [d_r + d_f for d_r, d_f in choked_draw_table(params)]
     return [0] * n
 
 

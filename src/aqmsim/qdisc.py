@@ -64,7 +64,9 @@ class QdiscState:
     """FIFO buffer (head = oldest at index 0) plus the EWMA average.
 
     `decide` is the discipline's admission function, resolved once here so
-    that no arrival looks the discipline up again.
+    that no arrival looks the discipline up again. CHOKeD also gets its
+    (D_r, D_f) split for every occupancy here; other disciplines hold an
+    empty `draw_split`.
     """
 
     params: QdiscParams
@@ -74,9 +76,11 @@ class QdiscState:
     decide: Callable[[QdiscState, Packet, Rng], EnqueueDecision] = field(
         init=False, repr=False, compare=False
     )
+    draw_split: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.decide = _ENQUEUE[self.discipline]
+        self.draw_split = choked_draw_table(self.params) if self.discipline is Discipline.CHOKED else []
 
 
 @dataclass(slots=True)
@@ -122,6 +126,11 @@ def drawing_factor(q_c: int, params: QdiscParams) -> int:
 def drawing_split(d_i: int) -> tuple[int, int]:
     """Split the drawing factor into (rear, front) draw counts."""
     return d_i, _round_half_away(d_i / 2)
+
+
+def choked_draw_table(params: QdiscParams) -> list[tuple[int, int]]:
+    """CHOKeD's (rear, front) draw counts for each occupancy q_c = 0..B."""
+    return [drawing_split(drawing_factor(q_c, params)) for q_c in range(params.capacity + 1)]
 
 
 def partition_regions(q_c: int) -> tuple[range, range]:
@@ -198,11 +207,16 @@ def enqueue_gchoke(state: QdiscState, pk: Packet, rng: Rng) -> EnqueueDecision:
             return EnqueueDecision(Outcome.DROP_ARRIVING)
         buf.append(pk)
         return EnqueueDecision(Outcome.ADMIT)
-    pool = list(range(len(buf)))
+    n = len(buf)
     matched: list[int] = []
     draws = 0
-    while draws < params.maxcomp and pool:
-        pos = pool.pop(rng.index(len(pool)))
+    while draws < params.maxcomp and draws < n:
+        # Every earlier draw matched, so `matched` holds all drawn
+        # positions: step the j-th undrawn position over them.
+        pos = rng.index(n - draws)
+        for taken in sorted(matched):
+            if taken <= pos:
+                pos += 1
         draws += 1
         if buf[pos].flow_id == pk.flow_id:
             matched.append(pos)
@@ -226,10 +240,9 @@ def enqueue_choked(state: QdiscState, pk: Packet, rng: Rng) -> EnqueueDecision:
         buf.append(pk)
         return EnqueueDecision(Outcome.ADMIT)
     q_c = len(buf)
-    d_i = drawing_factor(q_c, params)
-    if d_i == 0:
+    d_r, d_f = state.draw_split[q_c]
+    if d_r == 0:
         return _red_fallback(state, pk, rng, 0)
-    d_r, d_f = drawing_split(d_i)
     front, rear = partition_regions(q_c)
     flow_id = pk.flow_id
 

@@ -162,6 +162,10 @@ class Scenario:
             problems.append(f"w_q={self.w_q}: must be in (0, 1]")
         if not 0 < self.max_p <= 1:
             problems.append(f"max_p={self.max_p}: must be in (0, 1]")
+        # random.Random seeds with |seed|, so a negative seed would alias its
+        # positive twin.
+        if self.seed < 0:
+            problems.append(f"seed={self.seed}: must be >= 0")
         if self.maxcomp < 1:
             problems.append(f"maxcomp={self.maxcomp}: must be >= 1")
         if self.duration_s <= self.warmup_s or self.warmup_s < 0:

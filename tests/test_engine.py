@@ -1,3 +1,6 @@
+import random
+import sys
+
 import pytest
 
 from aqmsim.engine import Event, EventKind, EventLoop, Rng, SchedulingError
@@ -169,3 +172,113 @@ class TestRng:
         draws = [r.geometric(12.0) for _ in range(n)]
         assert min(draws) >= 1
         assert abs(sum(draws) / n - 12.0) < 0.3
+
+
+# Draw vectors of Rng, frozen on CPython 3.11. They pin the run's bytes to
+# the Mersenne Twister's own outputs, so no later interpreter's `random`
+# implementation can move them.
+
+# (seed, n) -> the first five index(n) of Rng(seed). n covers 1, both sides
+# of a power of two (7, 8, 9) and a draw that rejects almost half its bits.
+INDEX_VECTORS = {
+    (11, 1): [0, 0, 0, 0, 0],
+    (11, 2): [1, 1, 1, 0, 0],
+    (11, 3): [1, 2, 1, 1, 2],
+    (11, 7): [3, 6, 4, 6, 6],
+    (11, 8): [7, 7, 7, 3, 2],
+    (11, 9): [7, 8, 7, 7, 8],
+    (11, 100): [57, 71, 99, 59, 57],
+    (11, 1048577): [948708, 976538, 947561, 398253, 387260],
+    (30, 1): [0, 0, 0, 0, 0],
+    (30, 2): [1, 0, 0, 1, 0],
+    (30, 3): [2, 1, 2, 0, 2],
+    (30, 7): [4, 6, 2, 4, 0],
+    (30, 8): [4, 0, 3, 4, 0],
+    (30, 9): [8, 4, 0, 3, 4],
+    (30, 100): [69, 37, 78, 3, 79],
+    (30, 1048577): [606488, 62991, 440420, 539548, 101661],
+    (51, 1): [0, 0, 0, 0, 0],
+    (51, 2): [0, 0, 0, 0, 1],
+    (51, 3): [0, 2, 2, 0, 0],
+    (51, 7): [1, 6, 4, 4, 1],
+    (51, 8): [3, 2, 3, 3, 4],
+    (51, 9): [3, 8, 8, 2, 3],
+    (51, 100): [31, 64, 70, 20, 31],
+    (51, 1048577): [510693, 339607, 516066, 485279, 536530],
+}
+
+# (seed, a, n, k) -> Rng(seed).sample(range(a, a + n), k). The rows sit on
+# both sides of each of sample's branch boundaries: a pool for n <= 21 when
+# k <= 5, for n <= 85 when k = 6, and a set of selections above.
+SAMPLE_VECTORS = {
+    (11, 3, 20, 5): [17, 20, 22, 21, 9],
+    (11, 3, 21, 5): [17, 20, 23, 21, 19],
+    (11, 3, 22, 5): [17, 20, 19, 21, 9],
+    (11, 0, 40, 6): [28, 35, 29, 39, 32, 12],
+    (11, 0, 85, 6): [57, 71, 59, 84, 65, 75],
+    (11, 0, 86, 6): [57, 71, 59, 65, 75, 24],
+    (11, 5, 10, 10): [12, 13, 14, 8, 9, 10, 6, 5, 11, 7],
+    (30, 3, 20, 5): [20, 12, 3, 9, 11],
+    (30, 3, 21, 5): [20, 12, 3, 9, 11],
+    (30, 3, 22, 5): [20, 12, 22, 3, 23],
+    (30, 0, 40, 6): [34, 18, 1, 13, 16, 3],
+    (30, 0, 85, 6): [69, 37, 78, 3, 79, 26],
+    (30, 0, 86, 6): [69, 37, 78, 3, 79, 83],
+    (30, 5, 10, 10): [13, 9, 5, 14, 10, 6, 7, 12, 11, 8],
+    (51, 3, 20, 5): [10, 19, 20, 8, 22],
+    (51, 3, 21, 5): [10, 19, 20, 8, 23],
+    (51, 3, 22, 5): [10, 19, 20, 8, 11],
+    (51, 0, 40, 6): [15, 32, 35, 10, 39, 14],
+    (51, 0, 85, 6): [31, 64, 70, 20, 84, 29],
+    (51, 0, 86, 6): [31, 64, 70, 20, 29, 32],
+    (51, 5, 10, 10): [8, 13, 7, 6, 11, 9, 12, 10, 14, 5],
+}
+
+# seed -> the first three exponential(2.5) of Rng(seed), compared exactly.
+EXPONENTIAL_VECTORS = {
+    11: [1.5054321197428748, 2.0511584536577407, 6.449491567507569],
+    30: [1.936335453425021, 0.8533979484839039, 0.07624314565334618],
+    51: [0.6976905653687032, 1.7439373691881324, 0.44165653998618065],
+}
+
+# One Rng(99) running every method in turn: index(7), sample(range(50), 4),
+# exponential(2.5), random(), geometric(12.0), sample(range(10, 14), 3),
+# index(2**20 + 1).
+MIXED_SEQUENCE = [3, [24, 12, 38, 11], 0.6542650701694737, 0.1332444009175705, 2, [13, 12, 10], 1026083]
+
+
+class TestDrawVectors:
+    @pytest.mark.parametrize("seed, n", INDEX_VECTORS)
+    def test_index(self, seed, n):
+        r = Rng(seed)
+        assert [r.index(n) for _ in range(5)] == INDEX_VECTORS[seed, n]
+
+    @pytest.mark.parametrize("seed, a, n, k", SAMPLE_VECTORS)
+    def test_sample(self, seed, a, n, k):
+        assert Rng(seed).sample(range(a, a + n), k) == SAMPLE_VECTORS[seed, a, n, k]
+
+    @pytest.mark.parametrize("seed", EXPONENTIAL_VECTORS)
+    def test_exponential(self, seed):
+        r = Rng(seed)
+        assert [r.exponential(2.5) for _ in range(3)] == EXPONENTIAL_VECTORS[seed]
+
+    def test_mixed_sequence(self):
+        r = Rng(99)
+        got = [r.index(7), r.sample(range(50), 4), r.exponential(2.5), r.random(), r.geometric(12.0),
+               r.sample(range(10, 14), 3), r.index(2**20 + 1)]
+        assert got == MIXED_SEQUENCE
+
+    def test_sample_rejects_k_above_population(self):
+        with pytest.raises(ValueError):
+            Rng(1).sample(range(3), 4)
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="restates CPython 3.11's random module")
+    def test_matches_stdlib_3_11(self):
+        for seed in range(40):
+            ours, stdlib = Rng(seed), random.Random(seed)
+            for n in (1, 2, 5, 21, 22, 64, 85, 86, 100, 300, 1000):
+                assert ours.index(n) == stdlib.randrange(n)
+                for k in sorted(k for k in {0, 1, 2, 5, 6, n // 3, n} if k <= n):
+                    a = seed + n
+                    assert ours.sample(range(a, a + n), k) == stdlib.sample(range(a, a + n), k)
+            assert ours.exponential(2.5) == stdlib.expovariate(1.0 / 2.5)

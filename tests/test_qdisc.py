@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aqmsim.engine import Rng
+from aqmsim.metrics import draw_bound_table
 from aqmsim.qdisc import (
     Discipline,
     Outcome,
@@ -81,6 +82,24 @@ class TestDrawingFactor:
 
     def test_split_even(self):
         assert drawing_split(4) == (4, 2)
+
+
+class TestChokedDrawTable:
+    # (B, t_min, t_max): model 1, the buffer sweep's larger buffers and two
+    # small edge buffers.
+    @pytest.mark.parametrize(
+        "capacity, t_min, t_max", [(100, 40, 80), (300, 120, 240), (500, 200, 400), (2, 1, 2), (17, 3, 11)]
+    )
+    def test_state_table_is_the_draw_rule(self, capacity, t_min, t_max):
+        params = QdiscParams(capacity=capacity, t_min=t_min, t_max=t_max)
+        table = QdiscState(params, Discipline.CHOKED).draw_split
+        assert table == [drawing_split(drawing_factor(q_c, params)) for q_c in range(capacity + 1)]
+        assert draw_bound_table(Discipline.CHOKED, params) == [d_r + d_f for d_r, d_f in table]
+
+    def test_other_disciplines_hold_no_table(self):
+        for discipline in Discipline:
+            if discipline is not Discipline.CHOKED:
+                assert QdiscState(PARAMS, discipline).draw_split == []
 
 
 class TestPartitionRegions:

@@ -219,6 +219,7 @@ class TestValidation:
         "w-q-zero": ({"w_q": 0.0}, "w_q"),
         "max-p-above-one": ({"max_p": 1.5}, "max_p"),
         "maxcomp-zero": ({"maxcomp": 0}, "maxcomp"),
+        "negative-seed": ({"seed": -3}, "seed"),
         "too-many-queue-samples": ({"sample_period_s": 1e-9}, "sample_period_s"),
         "udp-rate-above-access": ({"udp_rate_bps": 20e6}, "udp_rate_mbps"),
         "udp-rate-above-flow-access": ({"flow_overrides": {1: {"access_bps": 1e6}}}, "udp_rate_mbps"),
